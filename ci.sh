@@ -6,6 +6,10 @@ cd "$(dirname "$0")"
 cargo fmt --check
 cargo clippy --workspace -- -D warnings
 cargo test -q
+# Every crate-level suite (lint rules, bounds soundness, serve units,
+# agent personas, index and Context properties), not only the root
+# package's integration tests.
+cargo test --workspace -q
 
 # Static analysis: the workspace must stay clean above the checked-in
 # baseline (lint.toml), and the lint report itself must be

@@ -50,7 +50,10 @@ impl AnswerCell {
     }
 }
 
-/// Builds the three standard lake tools.
+/// Builds the three standard lake tools, indexing the whole lake.
+///
+/// The runtime keeps one set per `Context` (built on first use); call
+/// this directly only for a one-shot toolbox.
 pub fn lake_tools(lake: &DataLake) -> Vec<Arc<dyn Tool>> {
     let names: Vec<String> = lake.names().iter().map(|s| s.to_string()).collect();
     let list_lake = names.clone();
@@ -89,10 +92,11 @@ pub fn lake_tools(lake: &DataLake) -> Vec<Arc<dyn Tool>> {
         },
     ));
 
-    let mut index = KeywordIndex::new();
-    for doc in lake.docs() {
-        index.add(&doc.name, &doc.text());
-    }
+    let index = KeywordIndex::build(
+        lake.docs()
+            .iter()
+            .map(|doc| (doc.name.as_str(), doc.text())),
+    );
     let search_keywords: Arc<dyn Tool> = Arc::new(FnTool::new(
         ToolSpec::new(
             "search_keywords",

@@ -52,16 +52,21 @@ fn bench_topk(c: &mut Criterion) {
 }
 
 fn bench_keyword_index(c: &mut Criterion) {
-    let mut index = KeywordIndex::new();
-    for i in 0..500 {
-        index.add(
-            &format!("doc{i}"),
-            &format!(
-                "report {i} identity theft fraud statistics for year {}",
-                2001 + i % 24
-            ),
-        );
-    }
+    let docs: Vec<(String, String)> = (0..500)
+        .map(|i| {
+            (
+                format!("doc{i}"),
+                format!(
+                    "report {i} identity theft fraud statistics for year {}",
+                    2001 + i % 24
+                ),
+            )
+        })
+        .collect();
+    c.bench_function("keyword/build_500_docs", |b| {
+        b.iter(|| black_box(KeywordIndex::build(docs.iter().cloned())))
+    });
+    let index = KeywordIndex::build(docs);
     c.bench_function("keyword/bm25_search_500_docs", |b| {
         b.iter(|| black_box(index.search("identity theft 2024", 10)))
     });

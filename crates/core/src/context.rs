@@ -3,15 +3,15 @@
 //! A `Context` generalizes the Palimpzest `Dataset`: it still supports
 //! iterator execution (via [`Context::dataset`]), and adds the access
 //! methods and metadata agents need — a natural-language description,
-//! key-based point lookups, vector search over document embeddings, and
-//! user-registered tools.
+//! key-based point lookups, vector search over document embeddings, the
+//! lake tools with their keyword index, and user-registered tools.
 
 use crate::runtime::Runtime;
-use aida_agents::{Tool, ToolRegistry};
+use aida_agents::{tools, Tool, ToolRegistry};
 use aida_data::{DataLake, Table};
 use aida_index::{FlatIndex, IvfIndex, KeyIndex, VectorIndex};
 use aida_semops::Dataset;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A described, indexable, tool-carrying dataset.
 #[derive(Clone)]
@@ -24,6 +24,9 @@ pub struct Context {
     lake: DataLake,
     key_index: Arc<KeyIndex>,
     vector_index: Option<Arc<dyn VectorIndex>>,
+    /// `list_files`/`read_file`/`search_keywords` over `lake`, built on
+    /// first use and shared by clones and un-narrowed materializations.
+    lake_tools: Arc<OnceLock<Vec<Arc<dyn Tool>>>>,
     tools: ToolRegistry,
     /// Structured findings attached by a `search`/`compute` execution.
     pub findings: Option<Arc<Table>>,
@@ -80,6 +83,23 @@ impl Context {
         }
     }
 
+    /// The lake tools (`list_files`, `read_file`, `search_keywords`) over
+    /// this Context's lake. The first call builds them, keyword index
+    /// included; every later call on this Context, its clones, and its
+    /// un-narrowed materializations returns the same set.
+    pub fn lake_tools(&self) -> &[Arc<dyn Tool>] {
+        self.lake_tools_or_build(|| {})
+    }
+
+    /// [`Context::lake_tools`], running `on_build` only in the one call
+    /// that builds the set.
+    pub(crate) fn lake_tools_or_build(&self, on_build: impl FnOnce()) -> &[Arc<dyn Tool>] {
+        self.lake_tools.get_or_init(|| {
+            on_build();
+            tools::lake_tools(&self.lake)
+        })
+    }
+
     /// User-registered tools.
     pub fn tools(&self) -> &ToolRegistry {
         &self.tools
@@ -110,6 +130,12 @@ impl Context {
                 None
             } else {
                 self.vector_index.clone()
+            },
+            // BM25 statistics are per corpus: a narrowed lake gets its own.
+            lake_tools: if narrowed {
+                Arc::default()
+            } else {
+                Arc::clone(&self.lake_tools)
             },
             tools: self.tools.clone(),
             findings: findings.map(Arc::new),
@@ -221,6 +247,7 @@ impl ContextBuilder {
             lake: self.lake,
             key_index: Arc::new(key_index),
             vector_index,
+            lake_tools: Arc::default(),
             tools,
             findings: None,
         }
@@ -338,5 +365,61 @@ mod tests {
         // Un-narrowed materializations keep it.
         let same = ctx.materialize("lake/2", "enriched".into(), None, None);
         assert!(!same.vector_search(&rt, "identity theft", 1).is_empty());
+    }
+
+    fn search_tool(ctx: &Context) -> Arc<dyn Tool> {
+        let tools = ctx.lake_tools();
+        let names: Vec<&str> = tools.iter().map(|t| t.spec().name.as_str()).collect();
+        assert_eq!(names, ["list_files", "read_file", "search_keywords"]);
+        Arc::clone(&tools[2])
+    }
+
+    #[test]
+    fn lake_tools_are_shared_unless_narrowed() {
+        let rt = Runtime::builder().build();
+        let ctx = Context::builder("lake", lake()).build(&rt);
+        let search = search_tool(&ctx);
+        assert!(Arc::ptr_eq(&search, &search_tool(&ctx)));
+        assert!(Arc::ptr_eq(&search, &search_tool(&ctx.clone())));
+        let same = ctx.materialize("lake/1", "enriched".into(), None, None);
+        assert!(Arc::ptr_eq(&search, &search_tool(&same)));
+        let narrow = DataLake::from_docs([lake().get("gas.txt").unwrap().as_ref().clone()]);
+        let narrowed = ctx.materialize("lake/2", "gas".into(), Some(narrow), None);
+        let narrowed_search = search_tool(&narrowed);
+        assert!(!Arc::ptr_eq(&search, &narrowed_search));
+        assert!(Arc::ptr_eq(&narrowed_search, &search_tool(&narrowed)));
+        // The narrowed set searches only its own lake.
+        let found = narrowed_search
+            .call(&[ScriptValue::str("pipeline theft"), ScriptValue::Int(5)])
+            .unwrap();
+        assert_eq!(found, ScriptValue::list(vec![ScriptValue::str("gas.txt")]));
+    }
+
+    #[test]
+    fn concurrent_first_use_builds_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let rt = Runtime::builder().build();
+        let ctx = Context::builder("lake", lake()).build(&rt);
+        let builds = AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(2);
+        let searches: Vec<Arc<dyn Tool>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    let ctx = ctx.clone();
+                    let (builds, barrier) = (&builds, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let tools = ctx.lake_tools_or_build(|| {
+                            builds.fetch_add(1, Ordering::SeqCst);
+                        });
+                        Arc::clone(&tools[2])
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+        assert!(Arc::ptr_eq(&searches[0], &searches[1]));
+        assert!(Arc::ptr_eq(&searches[0], &search_tool(&ctx)));
     }
 }

@@ -20,8 +20,7 @@ use crate::program::{self, ProgramRun, ProgramTrace};
 use crate::runtime::Runtime;
 use aida_agents::policy::{task_years, PolicyAction, PolicyContext};
 use aida_agents::{
-    tools::lake_tools, AgentConfig, AgentPolicy, AgentRuntime, CodeAgent, FnTool, ToolRegistry,
-    ToolSpec,
+    AgentConfig, AgentPolicy, AgentRuntime, CodeAgent, FnTool, ToolRegistry, ToolSpec,
 };
 use aida_data::{DataLake, Value};
 use aida_llm::noise;
@@ -283,8 +282,11 @@ fn run_op(
     // Assemble the toolbox: Context access methods + program synthesis.
     let program_trace = ProgramTrace::new();
     let mut registry = ToolRegistry::new();
-    for tool in lake_tools(ctx.lake()) {
-        registry.register(tool);
+    let lake_tools = ctx.lake_tools_or_build(|| {
+        recorder.counter_add(aida_obs::registry::CONTEXT_LAKE_TOOL_BUILDS, 1);
+    });
+    for tool in lake_tools {
+        registry.register(Arc::clone(tool));
     }
     for tool in context_access_tools(runtime, &ctx) {
         registry.register(tool);
@@ -735,6 +737,51 @@ mod tests {
             .with_dynamic_retry(false)
             .run();
         assert_eq!(outcome.trace.len(), 1);
+    }
+
+    #[test]
+    fn lake_tools_are_built_once_per_context() {
+        let traced = |reuse: bool| {
+            let rt = Runtime::builder()
+                .seed(17)
+                .tracing(true)
+                .context_reuse(reuse)
+                .build();
+            let w = legal::generate(17);
+            w.install_oracle(&rt.env().llm);
+            let ctx = Context::builder("legal", w.lake.clone())
+                .description(w.description.clone())
+                .build(&rt);
+            (rt, ctx)
+        };
+        let builds = |rt: &Runtime| {
+            rt.recorder()
+                .trace()
+                .counters
+                .get(aida_obs::registry::CONTEXT_LAKE_TOOL_BUILDS)
+                .copied()
+        };
+        let op = AgenticOp::Compute("find the number of identity theft reports in 2001".into());
+
+        // Repeated ops over one Context share its one tool set.
+        let (rt, ctx) = traced(false);
+        for idx in 0..3 {
+            let (_, _, trace) = run_op(&rt, &ctx, &op, idx);
+            assert!(!trace.reused);
+        }
+        assert_eq!(builds(&rt), Some(1));
+
+        // Both later ops reuse-hit the first op's narrowed Context (the
+        // earliest of equally similar entries wins): it builds once.
+        let (rt, ctx) = traced(true);
+        let (_, _, first) = run_op(&rt, &ctx, &op, 0);
+        assert!(!first.reused);
+        assert_eq!(builds(&rt), Some(1));
+        for idx in 1..3 {
+            let (_, _, trace) = run_op(&rt, &ctx, &op, idx);
+            assert!(trace.reused);
+        }
+        assert_eq!(builds(&rt), Some(2));
     }
 
     #[test]

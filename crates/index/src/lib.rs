@@ -7,8 +7,10 @@
 //! * [`FlatIndex`] — exact brute-force cosine search.
 //! * [`IvfIndex`] — inverted-file approximate search with a k-means coarse
 //!   quantizer (for larger lakes).
-//! * [`KeywordIndex`] — an inverted keyword index with BM25 ranking (the
-//!   "secondary index over a data lake" tool from the paper).
+//! * [`KeywordIndex`] — an immutable inverted keyword index with BM25
+//!   ranking (the "secondary index over a data lake" tool from the paper),
+//!   built in one pass into a sorted term arena with CSR postings. The
+//!   runtime builds one per `Context`, on its first agentic op.
 //! * [`KeyIndex`] — exact key → document point lookups.
 //! * [`topk::TopK`] — the bounded-heap top-k collector shared by all of the
 //!   above.

@@ -40,6 +40,9 @@ pub const SQL_STATEMENTS: &str = "sql.statements";
 pub const CONTEXT_REUSE_HITS: &str = "context.reuse_hits";
 /// No materialized context cleared the similarity threshold.
 pub const CONTEXT_REUSE_MISSES: &str = "context.reuse_misses";
+/// Lake tool sets (keyword index included) built, one per Context at
+/// its first agentic op.
+pub const CONTEXT_LAKE_TOOL_BUILDS: &str = "context.lake_tool_builds";
 /// `split_computes` plan rewrites applied.
 pub const REWRITES_SPLIT_COMPUTES: &str = "rewrites.split_computes";
 /// `merge_searches` plan rewrites applied.
@@ -165,6 +168,7 @@ mod tests {
             SQL_STATEMENTS,
             CONTEXT_REUSE_HITS,
             CONTEXT_REUSE_MISSES,
+            CONTEXT_LAKE_TOOL_BUILDS,
             REWRITES_SPLIT_COMPUTES,
             REWRITES_MERGE_SEARCHES,
             AGG_TRUNCATED_RECORDS,
