@@ -18,6 +18,22 @@ AIDA_RESULTS_DIR=target/ci-lint-a cargo run -q -p aida-lint -- --deny-new
 AIDA_RESULTS_DIR=target/ci-lint-b cargo run -q -p aida-lint -- --deny-new
 cmp target/ci-lint-a/lint_report.jsonl target/ci-lint-b/lint_report.jsonl
 
+# Experiment outputs: every table, figure and ablation regenerates
+# byte-identical to the committed files. Each output of
+# all_experiments that is tracked under results/ must match.
+rm -rf target/ci-exp
+AIDA_RESULTS_DIR=target/ci-exp \
+  cargo run -q --release -p aida-bench --bin all_experiments >/dev/null
+compared=0
+for f in $(cd target/ci-exp && find . -type f | sort); do
+  f=${f#./}
+  if git ls-files --error-unmatch "results/$f" >/dev/null 2>&1; then
+    cmp "results/$f" "target/ci-exp/$f"
+    compared=$((compared + 1))
+  fi
+done
+test "$compared" -gt 0
+
 # Pyrite VM parity: the differential suite (fixture corpus, error
 # fixtures, fuel sweeps, generated program matrix) must hold — the
 # tree-walker is the VM's oracle. Release build so the property matrix
