@@ -1,14 +1,15 @@
 //! The CodeAgent execution loop.
 //!
 //! Each step: the policy (standing in for the planning LLM) produces code;
-//! the code is statically checked, flow-sensitively typechecked against
-//! the tool registry, and compiled to bytecode — all *before* the planning
-//! call is billed, so a provably bad generation costs $0.00 and zero
-//! virtual seconds; then the step is billed to the simulated LLM as a call
-//! whose prompt is the task + tool manifest + observation tail and whose
-//! completion is the code; the compiled program runs on the register VM
-//! (or the tree-walking interpreter, via [`AgentRuntime::with_tree_walker`]
-//! or `AIDA_PYRITE_TREEWALK=1`) with the tools bound; printed output
+//! the code is parsed once, checked by the one static pass
+//! ([`aida_script::check`]: names, tools, loops, and flow-sensitive types
+//! against the tool registry's signatures), and compiled once to bytecode
+//! — all *before* the planning call is billed, so a provably bad
+//! generation costs $0.00 and zero virtual seconds; then the step is
+//! billed to the simulated LLM as a call whose prompt is the task + tool
+//! manifest + observation tail and whose completion is the code, keyed in
+//! the semantic cache by the compiled plan's content hash; the compiled
+//! program runs on the register VM with the tools bound; printed output
 //! becomes the next observation. The loop ends when `final_answer` fires
 //! or the step budget runs out.
 
@@ -79,9 +80,6 @@ pub struct AgentRuntime<'a> {
     env: &'a ExecEnv,
     registry: ToolRegistry,
     lake: Option<DataLake>,
-    /// Execute steps on the tree-walking interpreter instead of the
-    /// bytecode VM (fallback escape hatch; also the differential oracle).
-    tree_walk: bool,
 }
 
 /// Maximum observation characters fed back into the next planning prompt.
@@ -98,18 +96,7 @@ impl<'a> AgentRuntime<'a> {
             env,
             registry,
             lake,
-            tree_walk: std::env::var("AIDA_PYRITE_TREEWALK").is_ok_and(|v| v == "1"),
         }
-    }
-
-    /// Forces step execution onto the tree-walking interpreter instead of
-    /// the bytecode VM. The two are differential twins (identical values,
-    /// tool-call sequences, and fuel charges), so this is an escape hatch
-    /// and a test oracle, not a behavior switch. Also settable with the
-    /// environment variable `AIDA_PYRITE_TREEWALK=1`.
-    pub fn with_tree_walker(mut self, tree_walk: bool) -> Self {
-        self.tree_walk = tree_walk;
-        self
     }
 
     /// The tool registry.
@@ -117,48 +104,40 @@ impl<'a> AgentRuntime<'a> {
         &self.registry
     }
 
-    /// Typechecks `code` against the tool registry and the interpreter's
-    /// live globals, then lowers it to bytecode. Runs *before* the
-    /// planning call is billed: a program the flow-sensitive typechecker
-    /// can prove wrong on every path (tool arity or argument types,
-    /// use-before-assign) is rejected at zero cost, and a well-typed
-    /// program is compiled once for the VM.
-    fn typecheck_and_compile(
-        &self,
-        registry: &ToolRegistry,
-        interp: &Interpreter,
-        code: &str,
-    ) -> Result<aida_script::CompiledProgram, aida_script::ScriptError> {
-        let program = aida_script::parser::parse(code)?;
-        let mut tenv = aida_script::TypeEnv::new();
-        for spec in registry.specs() {
-            tenv.add_tool_signature(&spec.name, &spec.signature);
-        }
-        // Globals carried from earlier steps are live bindings of
-        // unknown type.
-        for name in interp.check_env().globals {
-            tenv.bind_global(&name, aida_script::Ty::Any);
-        }
-        aida_script::typecheck(&program, &tenv)?;
-        aida_script::compile(&program)
-    }
-
-    /// Static check first: a program the checker can prove malformed
-    /// (unknown tool, name defined nowhere, `while True` with no exit)
-    /// is rejected *before* the planning call is billed, so a bad
-    /// generation costs $0 and zero virtual latency. `Err` names the
-    /// pass that rejected the program.
+    /// Parses, checks, and compiles `code` — each exactly once — before
+    /// the planning call is billed: a program the static pass can prove
+    /// malformed (unknown tool, name defined nowhere, `while True` with
+    /// no exit) or wrong on every path (tool arity or argument types,
+    /// use before assignment) is rejected at zero cost. The names in
+    /// scope are the registry's tools and the interpreter's live globals.
+    /// `Err` names the pass that rejected the program (the span attr
+    /// `rejected`) and the error text the agent observes.
     fn check_and_compile(
-        &self,
         registry: &ToolRegistry,
         interp: &Interpreter,
         code: &str,
     ) -> Result<aida_script::CompiledProgram, (&'static str, String)> {
-        match aida_script::check::first_error(&interp.check_source(code)) {
+        use aida_script::ScriptError;
+        let program = aida_script::parser::parse(code).map_err(|err| {
+            // Parse failures surface through the static checker's error
+            // shape, as agents have always observed them.
+            let wrapped = ScriptError::Static {
+                line: err.line().unwrap_or(0),
+                message: err.to_string(),
+            };
+            ("static-check", wrapped.to_string())
+        })?;
+        let mut env = aida_script::CheckEnv::default();
+        for spec in registry.specs() {
+            env.add_tool(&spec.name, &spec.signature);
+        }
+        env.globals
+            .extend(interp.global_names().map(str::to_string));
+        let issues = aida_script::check::check(&program, &env);
+        match aida_script::check::first_error(&issues) {
+            Some(err @ ScriptError::Type { .. }) => Err(("typecheck", err.to_string())),
             Some(err) => Err(("static-check", err.to_string())),
-            None => self
-                .typecheck_and_compile(registry, interp, code)
-                .map_err(|err| ("typecheck", err.to_string())),
+            None => aida_script::compile(&program).map_err(|err| ("typecheck", err.to_string())),
         }
     }
 
@@ -232,7 +211,7 @@ impl<'a> AgentRuntime<'a> {
             };
             step_span.attr("code", aida_obs::clip(&code, 80));
 
-            let compiled = match self.check_and_compile(&registry, &interp, &code) {
+            let compiled = match Self::check_and_compile(&registry, &interp, &code) {
                 Ok(compiled) => compiled,
                 Err((pass, err)) => {
                     step_span.attr("rejected", pass);
@@ -264,18 +243,12 @@ impl<'a> AgentRuntime<'a> {
                 &LlmTask::Freeform {
                     prompt: &prompt,
                     response: &code,
+                    plan: Some(compiled.content_hash()),
                 },
             );
             self.env.clock.advance(resp.latency_s);
 
-            // Execute the code — on the bytecode VM by default; the
-            // tree-walker is the differential oracle and the fallback.
-            let run_result = if self.tree_walk {
-                interp.run(&code)
-            } else {
-                interp.run_compiled(&compiled)
-            };
-            let observation = match run_result {
+            let observation = match interp.run_compiled(&compiled) {
                 Ok(value) => {
                     let mut printed = interp.take_output().join("\n");
                     if printed.is_empty() {
@@ -518,38 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn vm_and_tree_walker_agree_on_agent_runs() {
-        // The same multi-step agent, once on the bytecode VM (default)
-        // and once on the tree-walking interpreter, must produce the
-        // same answer, observations, spend, and virtual time.
-        let steps = vec![
-            "files = list_files()\nprint(files)",
-            "c = read_file('data.csv')\nrows = c.splitlines()\ntotal = 0\nfor r in rows[1:]:\n    total += int(r.split(',')[1])\nprint(total)",
-            "final_answer(total)",
-        ];
-        let run = |tree_walk: bool| {
-            let env = runtime_env();
-            let lake = lake();
-            let rt = AgentRuntime::new(&env, registry(&lake), None).with_tree_walker(tree_walk);
-            let agent = CodeAgent::with_policy(
-                AgentConfig::default(),
-                Box::new(FixedPolicy(steps.clone())),
-            );
-            rt.run(&agent, "sum the n column")
-        };
-        let vm = run(false);
-        let walker = run(true);
-        assert_eq!(vm.answer, Some(Value::Int(140)));
-        assert_eq!(vm.answer, walker.answer);
-        assert_eq!(vm.steps.len(), walker.steps.len());
-        for (a, b) in vm.steps.iter().zip(&walker.steps) {
-            assert_eq!(a.observation, b.observation, "step {}", a.step);
-        }
-        assert_eq!(vm.cost_usd, walker.cost_usd);
-        assert_eq!(vm.time_s, walker.time_s);
-    }
-
-    #[test]
     fn valid_programs_still_execute_and_bill() {
         let env = runtime_env();
         let lake = lake();
@@ -575,9 +516,7 @@ mod tests {
         // (whitespace and line-number differences vanish in the canonical
         // encoding) must share one semantic-cache entry: the second
         // planning call is a plan-keyed hit and bills nothing.
-        let llm = SimLlm::new(3)
-            .with_cache(SemanticCache::new(CacheConfig::default()))
-            .with_plan_hasher(aida_script::plan_content_hash);
+        let llm = SimLlm::new(3).with_cache(SemanticCache::new(CacheConfig::default()));
         let env = ExecEnv::new(llm);
         let lake = lake();
         let rt = AgentRuntime::new(&env, registry(&lake), None);

@@ -665,12 +665,7 @@ impl RuntimeBuilder {
 
     /// Builds the runtime.
     pub fn build(self) -> Runtime {
-        let mut llm = SimLlm::new(self.config.seed)
-            .with_fault_rate(self.config.fault_rate)
-            // Agent planning calls are cache-keyed by the compiled plan's
-            // bytecode hash: two textually different programs that lower
-            // to the same bytecode share one semantic-cache entry.
-            .with_plan_hasher(aida_script::plan_content_hash);
+        let mut llm = SimLlm::new(self.config.seed).with_fault_rate(self.config.fault_rate);
         if self.config.semantic_cache > 0 {
             let cache = aida_llm::SemanticCache::new(aida_llm::cache::CacheConfig {
                 capacity: self.config.semantic_cache,

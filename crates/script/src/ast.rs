@@ -138,6 +138,127 @@ pub struct Program {
     pub body: Vec<Stmt>,
 }
 
+/// Collects every name a statement list can assign in its own frame
+/// (assignment targets, loop variables, `def` names, comprehension
+/// variables), without descending into nested `def` bodies — those are
+/// separate frames.
+pub fn collect_assigned(stmts: &[Stmt], out: &mut Vec<String>) {
+    let add = |name: &str, out: &mut Vec<String>| {
+        if !out.iter().any(|n| n == name) {
+            out.push(name.to_string());
+        }
+    };
+    for s in stmts {
+        match &s.kind {
+            StmtKind::Expr(e) | StmtKind::Return(Some(e)) => comp_vars(e, out),
+            StmtKind::Assign(target, e) | StmtKind::AugAssign(target, _, e) => {
+                if let Target::Name(n) = target {
+                    add(n, out);
+                }
+                if let Target::Index(o, k) = target {
+                    comp_vars(o, out);
+                    comp_vars(k, out);
+                }
+                comp_vars(e, out);
+            }
+            StmtKind::If(arms, else_body) => {
+                for (cond, body) in arms {
+                    comp_vars(cond, out);
+                    collect_assigned(body, out);
+                }
+                if let Some(body) = else_body {
+                    collect_assigned(body, out);
+                }
+            }
+            StmtKind::While(cond, body) => {
+                comp_vars(cond, out);
+                collect_assigned(body, out);
+            }
+            StmtKind::For(vars, iterable, body) => {
+                for v in vars {
+                    add(v, out);
+                }
+                comp_vars(iterable, out);
+                collect_assigned(body, out);
+            }
+            StmtKind::Def(name, _, _) => add(name, out),
+            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue | StmtKind::Pass => {}
+        }
+    }
+}
+
+/// Collects comprehension variables from every sub-expression (they bind
+/// in the enclosing frame, Python-2 style, exactly as the interpreter's
+/// `bind_loop_vars` does).
+pub fn comp_vars(e: &Expr, out: &mut Vec<String>) {
+    match &e.kind {
+        ExprKind::ListComp {
+            element,
+            vars,
+            iterable,
+            condition,
+        } => {
+            for v in vars {
+                if !out.iter().any(|n| n == v) {
+                    out.push(v.clone());
+                }
+            }
+            comp_vars(element, out);
+            comp_vars(iterable, out);
+            if let Some(c) = condition {
+                comp_vars(c, out);
+            }
+        }
+        ExprKind::Binary(_, a, b) => {
+            comp_vars(a, out);
+            comp_vars(b, out);
+        }
+        ExprKind::Unary(_, a) => comp_vars(a, out),
+        ExprKind::Call(callee, args) => {
+            comp_vars(callee, out);
+            for a in args {
+                comp_vars(a, out);
+            }
+        }
+        ExprKind::MethodCall(obj, _, args) => {
+            comp_vars(obj, out);
+            for a in args {
+                comp_vars(a, out);
+            }
+        }
+        ExprKind::Index(o, k) => {
+            comp_vars(o, out);
+            comp_vars(k, out);
+        }
+        ExprKind::Slice(o, lo, hi) => {
+            comp_vars(o, out);
+            if let Some(b) = lo {
+                comp_vars(b, out);
+            }
+            if let Some(b) = hi {
+                comp_vars(b, out);
+            }
+        }
+        ExprKind::List(items) => {
+            for i in items {
+                comp_vars(i, out);
+            }
+        }
+        ExprKind::Dict(pairs) => {
+            for (k, v) in pairs {
+                comp_vars(k, out);
+                comp_vars(v, out);
+            }
+        }
+        ExprKind::Int(_)
+        | ExprKind::Float(_)
+        | ExprKind::Str(_)
+        | ExprKind::Bool(_)
+        | ExprKind::None
+        | ExprKind::Name(_) => {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -64,10 +64,11 @@ pub const TOOL_CALL_MAX_INPUT_TOKENS: usize = 4096;
 /// Per-tool-call billing envelope: output tokens.
 pub const TOOL_CALL_MAX_OUTPUT_TOKENS: usize = 1024;
 
-/// Builtin names (sorted). Calls to these are counted in
-/// `calls_per_tool` (a host function may legally shadow one) but are
-/// not billable, and their result shapes are modeled precisely under
-/// the no-shadowing assumption.
+/// Builtin names (sorted): the functions the interpreter resolves
+/// without any registration (a unit test in [`crate::check`] calls each
+/// one). Calls to these are counted in `calls_per_tool` (a host function
+/// may legally shadow one) but are not billable, and their result shapes
+/// are modeled precisely under the no-shadowing assumption.
 pub const BUILTIN_NAMES: &[&str] = &[
     "abs",
     "bool",

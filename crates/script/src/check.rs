@@ -1,44 +1,200 @@
-//! Static checks over parsed Pyrite programs.
+//! The static pass over parsed Pyrite programs.
 //!
-//! [`check`] runs before interpretation and rejects malformed generated
-//! programs *before* any simulated tokens are spent on them — the
-//! CodeAgent runtime bills a planning call per step, so a program that
-//! would only fail at runtime otherwise costs real (simulated) budget.
+//! [`check`] runs between parsing and compiling and rejects malformed
+//! generated programs *before* any simulated tokens are spent on them —
+//! the CodeAgent runtime bills a planning call per step, so a program
+//! that would only fail at runtime otherwise costs real (simulated)
+//! budget. One walk over the program reports two kinds of finding:
 //!
-//! Pyrite resolves names late, Python-style: a function body may call a
-//! function defined later, and a branch may read a variable another
-//! branch assigned. The checker therefore stays deliberately
-//! flow-insensitive for *existence*: a name is only "undefined" when no
-//! assignment, loop binding, parameter, `def`, global, tool, or builtin
-//! anywhere in the program (or host environment) introduces it. That
-//! keeps the pass sound — it never rejects a program the interpreter
-//! would have run — while still catching the common failure modes of
-//! generated code: misspelled tool names, references to variables that
-//! were never produced, `while True` with no exit, and dead branches.
+//! * **Structural findings.** Pyrite resolves names late, Python-style:
+//!   a function body may call a function defined later, and a branch may
+//!   read a variable another branch assigned. Existence is therefore
+//!   flow-insensitive: a name is only "undefined" when no assignment,
+//!   loop binding, parameter, `def`, global, tool, or builtin anywhere in
+//!   the program (or host environment) introduces it. The same walk
+//!   finds unknown tool calls, `while True` with no exit, and — as
+//!   warnings — dead branches and unused variables.
+//! * **Type errors.** A flow-sensitive pass over the same walk finds
+//!   use before assignment (a read on a path where no earlier statement
+//!   can have assigned the name), tool arity and argument types against
+//!   the parsed signatures ([`ToolSig`]), and definite operator, index,
+//!   iteration, and call misuse. Branches join their facts: a variable
+//!   assigned `int` in one arm and `str` in another joins to
+//!   [`Ty::Any`], and names assigned inside a loop body are in scope (as
+//!   possibly unassigned) for the whole body, so accumulator patterns
+//!   type correctly. An error is reported only when every runtime path
+//!   through the expression would raise it — mirroring the
+//!   interpreter's own `binary`/`index`/`call` rejections — so a type
+//!   error is safe to treat as a hard pre-billing reject.
+//!
+//! Structural errors win over type errors: [`first_error`] reports the
+//! first structural error by `(line, code)` as [`ScriptError::Static`],
+//! and otherwise the first type error in walk order as
+//! [`ScriptError::Type`].
 
-use crate::ast::{Expr, ExprKind, Program, Stmt, StmtKind, Target};
+use crate::ast::{
+    collect_assigned, BinOp, Expr, ExprKind, Program, Stmt, StmtKind, Target, UnaryOp,
+};
+use crate::bounds::{is_builtin, BUILTIN_NAMES};
 use crate::error::ScriptError;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Builtin functions the interpreter resolves without any registration.
-/// Kept in sync with `Interpreter::call_builtin` (a unit test over every
-/// builtin name enforces the sync).
-pub const BUILTINS: &[&str] = &[
-    "len",
-    "str",
-    "int",
-    "float",
-    "bool",
-    "abs",
-    "round",
-    "range",
-    "print",
-    "sum",
-    "min",
-    "max",
-    "sorted",
-    "enumerate",
-];
+/// A static type. `Any` is the unknown/top type; joins of unequal types
+/// collapse to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ty {
+    /// Unknown (checks involving it always pass).
+    Any,
+    /// `int`
+    Int,
+    /// `float`
+    Float,
+    /// `str`
+    Str,
+    /// `bool`
+    Bool,
+    /// `None`
+    None,
+    /// `list` (element types are not tracked).
+    List,
+    /// `dict` (string keys; value types are not tracked).
+    Dict,
+    /// A user function value.
+    Func,
+}
+
+impl Ty {
+    /// The least upper bound of two types.
+    pub fn join(self, other: Ty) -> Ty {
+        if self == other {
+            self
+        } else {
+            Ty::Any
+        }
+    }
+
+    /// Display name matching the interpreter's `type_name()` strings.
+    pub fn name(self) -> &'static str {
+        match self {
+            Ty::Any => "any",
+            Ty::Int => "int",
+            Ty::Float => "float",
+            Ty::Str => "str",
+            Ty::Bool => "bool",
+            Ty::None => "None",
+            Ty::List => "list",
+            Ty::Dict => "dict",
+            Ty::Func => "function",
+        }
+    }
+
+    fn is_num(self) -> bool {
+        matches!(self, Ty::Any | Ty::Int | Ty::Float)
+    }
+
+    /// Whether a value of this type can satisfy an `expected` annotation.
+    fn satisfies(self, expected: Ty) -> bool {
+        match (self, expected) {
+            (Ty::Any, _) | (_, Ty::Any) => true,
+            // Ints are acceptable where floats are expected (the
+            // interpreter bridges them in arithmetic and comparisons).
+            (Ty::Int, Ty::Float) => true,
+            (a, b) => a == b,
+        }
+    }
+
+    fn is_callable(self) -> bool {
+        matches!(self, Ty::Any | Ty::Func)
+    }
+}
+
+/// A parsed tool signature, e.g. `search_keywords(query: str, k: int) ->
+/// list[str]`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ToolSig {
+    /// Tool name.
+    pub name: String,
+    /// Parameters: name and annotated type (`Ty::Any` when unannotated).
+    pub params: Vec<(String, Ty)>,
+    /// Return type (`Ty::Any` when unannotated).
+    pub ret: Ty,
+}
+
+impl ToolSig {
+    /// Parses a Python-style signature line. Returns `None` when the text
+    /// does not look like `name(params...)` — callers should then fall
+    /// back to skipping checks for that tool.
+    pub fn parse(signature: &str) -> Option<ToolSig> {
+        let open = signature.find('(')?;
+        let close = signature.rfind(')')?;
+        if close < open {
+            return None;
+        }
+        let name = signature[..open].trim();
+        if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
+            return None;
+        }
+        let params_text = &signature[open + 1..close];
+        let mut params = Vec::new();
+        if !params_text.trim().is_empty() {
+            for part in split_params(params_text) {
+                let part = part.trim();
+                let (pname, ty) = match part.split_once(':') {
+                    Some((n, t)) => (n.trim(), parse_ty(t.trim())),
+                    None => (part, Ty::Any),
+                };
+                if pname.is_empty() {
+                    return None;
+                }
+                params.push((pname.to_string(), ty));
+            }
+        }
+        let ret = signature[close + 1..]
+            .trim()
+            .strip_prefix("->")
+            .map_or(Ty::Any, |r| parse_ty(r.trim()));
+        Some(ToolSig {
+            name: name.to_string(),
+            params,
+            ret,
+        })
+    }
+}
+
+/// Splits a parameter list on top-level commas (commas inside `[...]`
+/// annotations like `list[str]` do not split).
+fn split_params(text: &str) -> Vec<&str> {
+    let mut parts = Vec::new();
+    let mut depth = 0usize;
+    let mut start = 0usize;
+    for (i, ch) in text.char_indices() {
+        match ch {
+            '[' | '(' => depth += 1,
+            ']' | ')' => depth = depth.saturating_sub(1),
+            ',' if depth == 0 => {
+                parts.push(&text[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    parts.push(&text[start..]);
+    parts
+}
+
+fn parse_ty(text: &str) -> Ty {
+    let base = text.split('[').next().unwrap_or("").trim();
+    match base {
+        "int" => Ty::Int,
+        "float" => Ty::Float,
+        "str" => Ty::Str,
+        "bool" => Ty::Bool,
+        "None" | "none" => Ty::None,
+        "list" => Ty::List,
+        "dict" => Ty::Dict,
+        _ => Ty::Any,
+    }
+}
 
 /// How bad an issue is. Errors reject the program; warnings ride along.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -49,11 +205,20 @@ pub enum CheckSeverity {
     Error,
 }
 
+/// Codes of the type errors (every other code is structural).
+pub const TYPE_ERROR_CODES: &[&str] = &[
+    "use-before-assign",
+    "tool-arity",
+    "tool-arg-type",
+    "type-mismatch",
+];
+
 /// One issue the checker found.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckIssue {
-    /// Stable issue code (`"undefined-name"`, `"unknown-call"`,
-    /// `"unbounded-loop"`, `"dead-branch"`, `"unused-variable"`).
+    /// Stable issue code: structural `"undefined-name"`,
+    /// `"unknown-call"`, `"unbounded-loop"`, `"dead-branch"`,
+    /// `"unused-variable"`, or one of [`TYPE_ERROR_CODES`].
     pub code: &'static str,
     /// Severity.
     pub severity: CheckSeverity,
@@ -67,59 +232,134 @@ pub struct CheckIssue {
 /// without being defined by the program itself.
 #[derive(Debug, Clone, Default)]
 pub struct CheckEnv {
-    /// Pre-set global variables.
+    /// Pre-set global variables (agent state carried between steps), of
+    /// unknown type.
     pub globals: BTreeSet<String>,
-    /// Registered host functions (tools).
-    pub tools: BTreeSet<String>,
+    /// Registered host functions (tools) with their parsed signatures.
+    /// `None` means the signature did not parse: calls resolve but are
+    /// not arity- or type-checked.
+    pub tools: BTreeMap<String, Option<ToolSig>>,
 }
 
 impl CheckEnv {
+    /// Registers a tool from its signature text.
+    pub fn add_tool(&mut self, name: &str, signature: &str) {
+        self.tools
+            .insert(name.to_string(), ToolSig::parse(signature));
+    }
+
     /// Whether `name` exists in the host environment (including
     /// builtins).
     fn has(&self, name: &str) -> bool {
-        self.globals.contains(name) || self.tools.contains(name) || BUILTINS.contains(&name)
+        self.globals.contains(name) || self.tools.contains_key(name) || is_builtin(name)
     }
 }
 
-/// Runs all static checks. Issues are ordered by line, then code.
+/// Runs the static pass. Structural issues come first, ordered by line
+/// then code; type errors follow in the order the walk met them.
 pub fn check(program: &Program, env: &CheckEnv) -> Vec<CheckIssue> {
     let mut ck = Checker {
         env,
         defined: BTreeSet::new(),
         used: BTreeSet::new(),
         issues: Vec::new(),
+        type_errors: Vec::new(),
     };
-    // Pass 1: every name the program introduces, anywhere.
+    // Every name the program introduces, anywhere.
     collect_defined(&program.body, &mut ck.defined);
-    // Pass 2: walk references and structure.
-    ck.stmts(&program.body);
-    // Pass 3: definitions that were never read.
+    let mut flow = Flow::start();
+    for name in &env.globals {
+        flow.assign(name, Ty::Any);
+    }
+    ck.block(&program.body, &mut flow, None);
+    // Definitions that were never read.
     ck.unused(&program.body);
     ck.issues
         .sort_by(|a, b| (a.line, a.code).cmp(&(b.line, b.code)));
+    ck.issues.append(&mut ck.type_errors);
     ck.issues
 }
 
-/// The first error, if any — what [`crate::Interpreter::run_checked`]
-/// reports.
+/// The error that rejects the program, if any — the first error issue,
+/// as [`ScriptError::Type`] for a type error and [`ScriptError::Static`]
+/// otherwise.
 pub fn first_error(issues: &[CheckIssue]) -> Option<ScriptError> {
-    issues
-        .iter()
-        .find(|i| i.severity == CheckSeverity::Error)
-        .map(|i| ScriptError::Static {
-            line: i.line,
-            message: i.message.clone(),
-        })
+    let issue = issues.iter().find(|i| i.severity == CheckSeverity::Error)?;
+    let (line, message) = (issue.line, issue.message.clone());
+    Some(if TYPE_ERROR_CODES.contains(&issue.code) {
+        ScriptError::Type { line, message }
+    } else {
+        ScriptError::Static { line, message }
+    })
+}
+
+/// Per-path variable state.
+#[derive(Debug, Clone, Default)]
+struct Flow {
+    /// Every name some path reaching here may have assigned, with its
+    /// type; a name that is absent is unassigned on every path.
+    vars: HashMap<String, Ty>,
+    /// False after `return`/`break`/`continue`: subsequent sibling
+    /// statements in the block are unreachable from this path.
+    live: bool,
+}
+
+impl Flow {
+    fn start() -> Flow {
+        Flow {
+            vars: HashMap::new(),
+            live: true,
+        }
+    }
+
+    fn assign(&mut self, name: &str, ty: Ty) {
+        self.vars.insert(name.to_string(), ty);
+    }
+
+    /// Records that `name` may hold a `ty` here.
+    fn weaken(&mut self, name: &str, ty: Ty) {
+        self.vars
+            .entry(name.to_string())
+            .and_modify(|t| *t = t.join(ty))
+            .or_insert(ty);
+    }
+
+    /// Joins another branch's outcome into this one: names assigned on
+    /// either path, with joined types. Dead branches contribute nothing.
+    fn join(&mut self, other: &Flow) {
+        if !other.live {
+            return;
+        }
+        if !self.live {
+            *self = other.clone();
+            return;
+        }
+        for (name, &ty) in &other.vars {
+            self.weaken(name, ty);
+        }
+    }
+}
+
+/// Checking inside a function body: its frame locals (parameters and
+/// every name the body assigns), which shadow everything else.
+struct FnCtx {
+    locals: Vec<String>,
 }
 
 struct Checker<'a> {
     env: &'a CheckEnv,
+    /// Every name the program assigns anywhere (late-binding fallback
+    /// for function bodies and forward references).
     defined: BTreeSet<String>,
     used: BTreeSet<String>,
+    /// Structural issues and warnings.
     issues: Vec<CheckIssue>,
+    /// Type errors in walk order.
+    type_errors: Vec<CheckIssue>,
 }
 
-/// Collects every name any statement in `body` (recursively) defines.
+/// Collects every name any statement in `body` (recursively, including
+/// function bodies and parameters) defines.
 fn collect_defined(body: &[Stmt], out: &mut BTreeSet<String>) {
     for stmt in body {
         match &stmt.kind {
@@ -148,8 +388,7 @@ fn collect_defined(body: &[Stmt], out: &mut BTreeSet<String>) {
             _ => {}
         }
         // Comprehension variables bind too (they leak into scope in
-        // Pyrite, like Python 2 — and even if they did not, treating
-        // them as defined only ever suppresses a false positive).
+        // Pyrite, like Python 2).
         visit_exprs(stmt, &mut |e| {
             if let ExprKind::ListComp { vars, .. } = &e.kind {
                 out.extend(vars.iter().cloned());
@@ -158,9 +397,10 @@ fn collect_defined(body: &[Stmt], out: &mut BTreeSet<String>) {
     }
 }
 
-/// Calls `f` on every expression reachable from `stmt`.
-fn visit_exprs(stmt: &Stmt, f: &mut dyn FnMut(&Expr)) {
-    fn walk_expr(e: &Expr, f: &mut dyn FnMut(&Expr)) {
+/// Calls `f` on every expression of `stmt` itself (not of its nested
+/// blocks), pre-order.
+fn visit_exprs<'s>(stmt: &'s Stmt, f: &mut dyn FnMut(&'s Expr)) {
+    fn walk_expr<'e>(e: &'e Expr, f: &mut dyn FnMut(&'e Expr)) {
         f(e);
         match &e.kind {
             ExprKind::List(items) => items.iter().for_each(|e| walk_expr(e, f)),
@@ -260,6 +500,40 @@ fn has_exit(body: &[Stmt]) -> bool {
     })
 }
 
+/// The element type of iterating a value of type `it`.
+fn elem_ty(it: Ty) -> Ty {
+    if it == Ty::Str || it == Ty::Dict {
+        Ty::Str
+    } else {
+        Ty::Any
+    }
+}
+
+/// Binds loop or comprehension variables: a single name gets the
+/// element type, unpacked names are unknown.
+fn bind_loop_vars(flow: &mut Flow, vars: &[String], elem: Ty) {
+    if let [var] = vars {
+        flow.assign(var, elem);
+    } else {
+        for v in vars {
+            flow.assign(v, Ty::Any);
+        }
+    }
+}
+
+/// Return types for builtins (conservative; only the always-certain
+/// ones).
+fn builtin_ret(name: &str) -> Ty {
+    match name {
+        "str" => Ty::Str,
+        "float" => Ty::Float,
+        "bool" => Ty::Bool,
+        "range" | "sorted" | "enumerate" => Ty::List,
+        "print" => Ty::None,
+        _ => Ty::Any,
+    }
+}
+
 impl Checker<'_> {
     fn issue(&mut self, code: &'static str, severity: CheckSeverity, line: usize, message: String) {
         self.issues.push(CheckIssue {
@@ -270,40 +544,73 @@ impl Checker<'_> {
         });
     }
 
-    fn stmts(&mut self, body: &[Stmt]) {
+    /// Records a type error; the walk goes on with [`Ty::Any`] so later
+    /// statements still get their structural checks.
+    fn type_error(&mut self, code: &'static str, line: usize, message: String) -> Ty {
+        self.type_errors.push(CheckIssue {
+            code,
+            severity: CheckSeverity::Error,
+            line,
+            message,
+        });
+        Ty::Any
+    }
+
+    fn mismatch(&mut self, line: usize, message: String) -> Ty {
+        self.type_error("type-mismatch", line, message)
+    }
+
+    fn block(&mut self, body: &[Stmt], flow: &mut Flow, fctx: Option<&FnCtx>) {
         for stmt in body {
-            self.structure(stmt);
-            visit_exprs(stmt, &mut |_| {});
-            self.names_in(stmt);
+            if !flow.live {
+                // Unreachable code: still check it against a copy of the
+                // facts so obvious errors surface, but do not let its
+                // assignments revive the path.
+                let mut dead = flow.clone();
+                dead.live = true;
+                self.stmt(stmt, &mut dead, fctx);
+                continue;
+            }
+            self.stmt(stmt, flow, fctx);
         }
     }
 
-    /// Structural checks: unbounded loops and dead branches.
-    fn structure(&mut self, stmt: &Stmt) {
+    /// Checks one statement: its structure, its flow facts (recursing
+    /// into nested blocks), then the names its own expressions use.
+    fn stmt(&mut self, stmt: &Stmt, flow: &mut Flow, fctx: Option<&FnCtx>) {
+        let line = stmt.line;
         match &stmt.kind {
-            StmtKind::While(cond, body) => {
-                match const_truth(cond) {
-                    Some(true) if !has_exit(body) => self.issue(
-                        "unbounded-loop",
-                        CheckSeverity::Error,
-                        stmt.line,
-                        "`while` loop condition is always true and the body never \
-                         breaks or returns; the program cannot terminate"
-                            .to_string(),
-                    ),
-                    Some(false) => self.issue(
-                        "dead-branch",
-                        CheckSeverity::Warning,
-                        stmt.line,
-                        "`while` loop condition is always false; the body never runs".to_string(),
-                    ),
-                    _ => {}
-                }
-                self.stmts(body);
+            StmtKind::Expr(e) => {
+                self.expr(e, flow, fctx);
             }
-            StmtKind::If(arms, els) => {
+            StmtKind::Assign(Target::Name(name), value) => {
+                let ty = self.expr(value, flow, fctx);
+                flow.assign(name, ty);
+            }
+            StmtKind::Assign(Target::Index(obj, key), value) => {
+                self.expr(value, flow, fctx);
+                let ot = self.expr(obj, flow, fctx);
+                let kt = self.expr(key, flow, fctx);
+                self.check_index_store(ot, kt, line);
+            }
+            StmtKind::AugAssign(Target::Name(name), op, value) => {
+                let rhs = self.expr(value, flow, fctx);
+                let cur = self.use_name(name, line, flow, fctx);
+                let ty = self.check_binary(*op, cur, rhs, line);
+                flow.assign(name, ty);
+            }
+            StmtKind::AugAssign(Target::Index(obj, key), op, value) => {
+                let rhs = self.expr(value, flow, fctx);
+                let ot = self.expr(obj, flow, fctx);
+                let kt = self.expr(key, flow, fctx);
+                self.check_index_store(ot, kt, line);
+                self.check_binary(*op, Ty::Any, rhs, line);
+            }
+            StmtKind::If(arms, else_body) => {
+                let mut joined: Option<Flow> = None;
                 let mut taken = false;
                 for (cond, body) in arms {
+                    self.expr(cond, flow, fctx);
                     match const_truth(cond) {
                         _ if taken => self.issue(
                             "dead-branch",
@@ -321,72 +628,150 @@ impl Checker<'_> {
                         Some(true) => taken = true,
                         Option::None => {}
                     }
-                    self.stmts(body);
+                    let mut arm = flow.clone();
+                    self.block(body, &mut arm, fctx);
+                    match &mut joined {
+                        Some(j) => j.join(&arm),
+                        None => joined = Some(arm),
+                    }
                 }
-                if let Some(els) = els {
+                let mut else_flow = flow.clone();
+                if let Some(body) = else_body {
                     if taken {
                         self.issue(
                             "dead-branch",
                             CheckSeverity::Warning,
-                            stmt.line,
+                            line,
                             "`else` is unreachable: an earlier condition is always true"
                                 .to_string(),
                         );
                     }
-                    self.stmts(els);
+                    self.block(body, &mut else_flow, fctx);
                 }
+                let mut joined = joined.expect("if has at least one arm");
+                joined.join(&else_flow);
+                *flow = joined;
             }
-            StmtKind::For(_, _, body) | StmtKind::Def(_, _, body) => self.stmts(body),
-            _ => {}
+            StmtKind::While(cond, body) => {
+                match const_truth(cond) {
+                    Some(true) if !has_exit(body) => self.issue(
+                        "unbounded-loop",
+                        CheckSeverity::Error,
+                        line,
+                        "`while` loop condition is always true and the body never \
+                         breaks or returns; the program cannot terminate"
+                            .to_string(),
+                    ),
+                    Some(false) => self.issue(
+                        "dead-branch",
+                        CheckSeverity::Warning,
+                        line,
+                        "`while` loop condition is always false; the body never runs".to_string(),
+                    ),
+                    _ => {}
+                }
+                self.weaken_carried(stmt, flow);
+                self.expr(cond, flow, fctx);
+                let mut body_flow = flow.clone();
+                self.block(body, &mut body_flow, fctx);
+                flow.join(&body_flow);
+                flow.live = true;
+            }
+            StmtKind::For(vars, iterable, body) => {
+                let it = self.iterable(iterable, line, flow, fctx);
+                self.weaken_carried(stmt, flow);
+                let mut body_flow = flow.clone();
+                bind_loop_vars(&mut body_flow, vars, elem_ty(it));
+                self.block(body, &mut body_flow, fctx);
+                flow.join(&body_flow);
+                flow.live = true;
+            }
+            StmtKind::Def(name, params, body) => {
+                let mut locals = params.clone();
+                collect_assigned(body, &mut locals);
+                let ctx = FnCtx { locals };
+                let mut fn_flow = Flow::start();
+                for p in params {
+                    fn_flow.assign(p, Ty::Any);
+                }
+                self.block(body, &mut fn_flow, Some(&ctx));
+                flow.assign(name, Ty::Func);
+            }
+            StmtKind::Return(value) => {
+                if let Some(e) = value {
+                    self.expr(e, flow, fctx);
+                }
+                flow.live = false;
+            }
+            StmtKind::Break | StmtKind::Continue => flow.live = false,
+            StmtKind::Pass => {}
+        }
+        self.names_in(stmt);
+    }
+
+    /// Loop-carried names: visible inside and after a loop body as
+    /// possibly unassigned.
+    fn weaken_carried(&self, stmt: &Stmt, flow: &mut Flow) {
+        let mut carried = BTreeSet::new();
+        collect_defined(std::slice::from_ref(stmt), &mut carried);
+        for name in &carried {
+            flow.weaken(name, Ty::Any);
         }
     }
 
-    /// Name-existence checks over every expression in `stmt`.
+    /// Types the iterable of a `for` or comprehension.
+    fn iterable(&mut self, e: &Expr, line: usize, flow: &mut Flow, fctx: Option<&FnCtx>) -> Ty {
+        let it = self.expr(e, flow, fctx);
+        if matches!(it, Ty::Any | Ty::List | Ty::Str | Ty::Dict) {
+            it
+        } else {
+            self.mismatch(line, format!("{} is not iterable", it.name()))
+        }
+    }
+
+    /// Name-existence checks over every expression of `stmt` itself.
     fn names_in(&mut self, stmt: &Stmt) {
-        let mut refs: Vec<(String, usize, bool)> = Vec::new();
-        visit_exprs(stmt, &mut |e| {
-            match &e.kind {
-                ExprKind::Name(n) => refs.push((n.clone(), e.line, false)),
-                ExprKind::Call(callee, _) => {
-                    if let ExprKind::Name(n) = &callee.kind {
-                        // Mark as a call site; the plain Name visit also
-                        // records it, so de-dup below keeps the call.
-                        refs.push((n.clone(), callee.line, true));
-                    }
+        let mut refs: Vec<(&str, usize, bool)> = Vec::new();
+        visit_exprs(stmt, &mut |e| match &e.kind {
+            ExprKind::Name(n) => refs.push((n, e.line, false)),
+            ExprKind::Call(callee, _) => {
+                if let ExprKind::Name(n) = &callee.kind {
+                    // Mark as a call site; the plain Name visit also
+                    // records it, so de-dup below keeps the call.
+                    refs.push((n, callee.line, true));
                 }
-                _ => {}
             }
+            _ => {}
         });
-        for (name, line, is_call) in &refs {
-            self.used.insert(name.clone());
-            let exists = self.defined.contains(name) || self.env.has(name);
-            if exists {
+        for &(name, line, is_call) in &refs {
+            self.used.insert(name.to_string());
+            if self.defined.contains(name) || self.env.has(name) {
                 continue;
             }
-            if *is_call {
+            if is_call {
                 let mut known: Vec<&str> = self
                     .env
                     .tools
-                    .iter()
-                    .map(|s| s.as_str())
-                    .chain(BUILTINS.iter().copied())
+                    .keys()
+                    .map(String::as_str)
+                    .chain(BUILTIN_NAMES.iter().copied())
                     .collect();
                 known.sort_unstable();
                 self.issue(
                     "unknown-call",
                     CheckSeverity::Error,
-                    *line,
+                    line,
                     format!(
                         "call to unknown function or tool '{name}' (available: {})",
                         known.join(", ")
                     ),
                 );
-            } else if !refs.iter().any(|(n, _, c)| n == name && *c) {
+            } else if !refs.iter().any(|&(n, _, c)| n == name && c) {
                 // Avoid double-reporting the callee of an unknown call.
                 self.issue(
                     "undefined-name",
                     CheckSeverity::Error,
-                    *line,
+                    line,
                     format!("'{name}' is never defined anywhere in the program"),
                 );
             }
@@ -413,6 +798,297 @@ impl Checker<'_> {
             );
         }
     }
+
+    /// Resolves a name use, enforcing use-before-assign at the top level
+    /// and the late-binding rules inside functions. A name that exists
+    /// nowhere is a structural error ([`Checker::names_in`]) and types
+    /// as `Any` here.
+    fn use_name(&mut self, name: &str, line: usize, flow: &Flow, fctx: Option<&FnCtx>) -> Ty {
+        if let Some(&ty) = flow.vars.get(name) {
+            return ty;
+        }
+        match fctx {
+            // Inside a function an unseen name may still resolve at call
+            // time: a global assigned before the call, a tool, or a
+            // builtin. Only names that are locals of this function (and
+            // thus shadow everything) are definitely unassigned here.
+            Some(ctx) if ctx.locals.iter().any(|l| l == name) => self.type_error(
+                "use-before-assign",
+                line,
+                format!("local variable '{name}' used before assignment"),
+            ),
+            // At the top level tools and builtins resolve (reading one as
+            // a value is the interpreter's error, not a type error).
+            None if !self.env.tools.contains_key(name)
+                && !is_builtin(name)
+                && self.defined.contains(name) =>
+            {
+                self.type_error(
+                    "use-before-assign",
+                    line,
+                    format!("variable '{name}' used before assignment"),
+                )
+            }
+            _ => Ty::Any,
+        }
+    }
+
+    fn expr(&mut self, e: &Expr, flow: &mut Flow, fctx: Option<&FnCtx>) -> Ty {
+        let line = e.line;
+        match &e.kind {
+            ExprKind::Int(_) => Ty::Int,
+            ExprKind::Float(_) => Ty::Float,
+            ExprKind::Str(_) => Ty::Str,
+            ExprKind::Bool(_) => Ty::Bool,
+            ExprKind::None => Ty::None,
+            ExprKind::Name(name) => self.use_name(name, line, flow, fctx),
+            ExprKind::List(items) => {
+                for item in items {
+                    self.expr(item, flow, fctx);
+                }
+                Ty::List
+            }
+            ExprKind::Dict(pairs) => {
+                for (k, v) in pairs {
+                    let kt = self.expr(k, flow, fctx);
+                    if !kt.satisfies(Ty::Str) {
+                        self.mismatch(line, "dict keys must be strings".into());
+                    }
+                    self.expr(v, flow, fctx);
+                }
+                Ty::Dict
+            }
+            ExprKind::Binary(op, lhs, rhs) => {
+                let lt = self.expr(lhs, flow, fctx);
+                let rt = self.expr(rhs, flow, fctx);
+                self.check_binary(*op, lt, rt, line)
+            }
+            ExprKind::Unary(UnaryOp::Neg, operand) => {
+                let t = self.expr(operand, flow, fctx);
+                if t.is_num() {
+                    t
+                } else {
+                    self.mismatch(line, format!("cannot negate {}", t.name()))
+                }
+            }
+            ExprKind::Unary(UnaryOp::Not, operand) => {
+                self.expr(operand, flow, fctx);
+                Ty::Bool
+            }
+            ExprKind::Call(callee, args) => {
+                let arg_tys: Vec<Ty> = args.iter().map(|a| self.expr(a, flow, fctx)).collect();
+                self.check_call(callee, &arg_tys, line, flow, fctx)
+            }
+            ExprKind::MethodCall(obj, _method, args) => {
+                let ot = self.expr(obj, flow, fctx);
+                for a in args {
+                    self.expr(a, flow, fctx);
+                }
+                if matches!(ot, Ty::Int | Ty::Float | Ty::Bool | Ty::None | Ty::Func) {
+                    return self.mismatch(line, format!("{} has no methods", ot.name()));
+                }
+                Ty::Any
+            }
+            ExprKind::Index(obj, key) => {
+                let ot = self.expr(obj, flow, fctx);
+                let kt = self.expr(key, flow, fctx);
+                match ot {
+                    Ty::List | Ty::Str if !kt.satisfies(Ty::Int) || kt == Ty::Float => self
+                        .mismatch(
+                            line,
+                            format!("list indices must be ints, not {}", kt.name()),
+                        ),
+                    Ty::Str => Ty::Str,
+                    Ty::Dict if !kt.satisfies(Ty::Str) => {
+                        self.mismatch(line, "dict keys must be strings".into())
+                    }
+                    Ty::List | Ty::Dict | Ty::Any => Ty::Any,
+                    other => self.mismatch(line, format!("{} is not subscriptable", other.name())),
+                }
+            }
+            ExprKind::ListComp {
+                element,
+                vars,
+                iterable,
+                condition,
+            } => {
+                let it = self.iterable(iterable, line, flow, fctx);
+                bind_loop_vars(flow, vars, elem_ty(it));
+                if let Some(cond) = condition {
+                    self.expr(cond, flow, fctx);
+                }
+                self.expr(element, flow, fctx);
+                // Comprehension vars leak into the enclosing scope but
+                // only run when the iterable is non-empty.
+                for v in vars {
+                    flow.weaken(v, Ty::Any);
+                }
+                Ty::List
+            }
+            ExprKind::Slice(obj, lo, hi) => {
+                let ot = self.expr(obj, flow, fctx);
+                for bound in [lo, hi].into_iter().flatten() {
+                    let bt = self.expr(bound, flow, fctx);
+                    if !bt.satisfies(Ty::Int) || bt == Ty::Float {
+                        return self.mismatch(line, "slice bounds must be ints".into());
+                    }
+                }
+                match ot {
+                    Ty::List | Ty::Str | Ty::Any => ot,
+                    other => self.mismatch(line, format!("{} cannot be sliced", other.name())),
+                }
+            }
+        }
+    }
+
+    /// Checks a call expression. Tool and builtin calls resolve only when
+    /// the name cannot be shadowed by any assignment in the program (the
+    /// interpreter resolves shadowing dynamically; a name assigned
+    /// *anywhere* might shadow by call time, so such calls are left to
+    /// runtime).
+    fn check_call(
+        &mut self,
+        callee: &Expr,
+        args: &[Ty],
+        line: usize,
+        flow: &mut Flow,
+        fctx: Option<&FnCtx>,
+    ) -> Ty {
+        let ty = match &callee.kind {
+            ExprKind::Name(name) => {
+                let env = self.env;
+                let shadowable = self.defined.contains(name) || env.globals.contains(name);
+                if !shadowable {
+                    if let Some(sig) = env.tools.get(name) {
+                        return match sig {
+                            Some(sig) => self.check_tool_args(name, sig, args, line),
+                            None => Ty::Any,
+                        };
+                    }
+                    if is_builtin(name) {
+                        return builtin_ret(name);
+                    }
+                }
+                // A (possibly shadowed) variable callee: ensure it resolves.
+                self.use_name(name, callee.line, flow, fctx)
+            }
+            _ => self.expr(callee, flow, fctx),
+        };
+        if ty.is_callable() {
+            Ty::Any
+        } else {
+            self.mismatch(line, format!("{} is not callable", ty.name()))
+        }
+    }
+
+    /// Checks a tool call's arity and argument types against its
+    /// signature; the call types as the signature's return type.
+    fn check_tool_args(&mut self, name: &str, sig: &ToolSig, args: &[Ty], line: usize) -> Ty {
+        let n = sig.params.len();
+        if n != args.len() {
+            return self.type_error(
+                "tool-arity",
+                line,
+                format!(
+                    "{name}() takes {n} argument{} but {} {} given",
+                    if n == 1 { "" } else { "s" },
+                    args.len(),
+                    if args.len() == 1 { "was" } else { "were" },
+                ),
+            );
+        }
+        let mismatch = sig
+            .params
+            .iter()
+            .zip(args)
+            .find(|((_, pty), aty)| !aty.satisfies(*pty));
+        if let Some(((pname, pty), aty)) = mismatch {
+            return self.type_error(
+                "tool-arg-type",
+                line,
+                format!(
+                    "{name}() argument '{pname}' expects {}, got {}",
+                    pty.name(),
+                    aty.name()
+                ),
+            );
+        }
+        sig.ret
+    }
+
+    /// Checks a binary operation, mirroring the interpreter's `binary`
+    /// kernel: an error is reported only for operand-type combinations
+    /// the interpreter always rejects.
+    fn check_binary(&mut self, op: BinOp, l: Ty, r: Ty, line: usize) -> Ty {
+        use Ty::*;
+        let message = match op {
+            BinOp::Add => match (l, r) {
+                (Any, _) | (_, Any) => return Any,
+                (Int, Int) => return Int,
+                (Str, Str) => return Str,
+                (List, List) => return List,
+                (Int | Float, Int | Float) => return Float,
+                _ => format!("cannot add {} and {}", l.name(), r.name()),
+            },
+            BinOp::Sub => match (l, r) {
+                (Any, _) | (_, Any) => return Any,
+                (Int, Int) => return Int,
+                (Int | Float, Int | Float) => return Float,
+                _ => format!("unsupported operand types: {} and {}", l.name(), r.name()),
+            },
+            BinOp::Mul => match (l, r) {
+                (Any, _) | (_, Any) => return Any,
+                (Int, Int) => return Int,
+                (Str, Int) | (Int, Str) => return Str,
+                (Int | Float, Int | Float) => return Float,
+                _ => format!("unsupported operand types: {} and {}", l.name(), r.name()),
+            },
+            BinOp::Div => match (l, r) {
+                (Any, _) | (_, Any) => return Any,
+                (Int | Float, Int | Float) => return Float,
+                _ => format!("cannot divide {} by {}", l.name(), r.name()),
+            },
+            BinOp::FloorDiv => match (l, r) {
+                (Any, _) | (_, Any) => return Any,
+                (Int, Int) => return Int,
+                (Int | Float, Int | Float) => return Float,
+                _ => "'//' needs numbers".into(),
+            },
+            BinOp::Mod => match (l, r) {
+                (Any, _) | (_, Any) => return Any,
+                (Int, Int) => return Int,
+                _ => "'%' needs ints".into(),
+            },
+            BinOp::Eq | BinOp::NotEq => return Bool,
+            BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => match (l, r) {
+                (Any, _) | (_, Any) | (Int | Float, Int | Float) | (Str, Str) => return Bool,
+                _ => format!("cannot compare {} and {}", l.name(), r.name()),
+            },
+            BinOp::In | BinOp::NotIn => match r {
+                Any | Str | List | Dict => return Bool,
+                _ => format!("'in' not supported between {} and {}", l.name(), r.name()),
+            },
+            // Short-circuit operators accept anything and yield one of
+            // their operands.
+            BinOp::And | BinOp::Or => return l.join(r),
+        };
+        self.mismatch(line, message)
+    }
+
+    fn check_index_store(&mut self, obj: Ty, key: Ty, line: usize) {
+        let ok = match obj {
+            Ty::Any => true,
+            Ty::Dict => key.satisfies(Ty::Str),
+            Ty::List => key.satisfies(Ty::Int) && key != Ty::Float,
+            _ => false,
+        };
+        if !ok {
+            self.mismatch(
+                line,
+                format!("cannot assign into {} with {} key", obj.name(), key.name()),
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -423,8 +1099,21 @@ mod tests {
     fn env_with(tools: &[&str]) -> CheckEnv {
         CheckEnv {
             globals: BTreeSet::new(),
-            tools: tools.iter().map(|s| s.to_string()).collect(),
+            tools: tools.iter().map(|s| (s.to_string(), None)).collect(),
         }
+    }
+
+    /// The agent tool signatures the type rules are checked against.
+    fn typed_env() -> CheckEnv {
+        let mut env = CheckEnv::default();
+        env.add_tool("read_file", "read_file(name: str) -> str");
+        env.add_tool("list_files", "list_files() -> list[str]");
+        env.add_tool(
+            "search_keywords",
+            "search_keywords(query: str, k: int) -> list[str]",
+        );
+        env.add_tool("final_answer", "final_answer(answer) -> None");
+        env
     }
 
     fn run_check(src: &str, env: &CheckEnv) -> Vec<CheckIssue> {
@@ -437,6 +1126,22 @@ mod tests {
             .iter()
             .filter(|i| i.severity == CheckSeverity::Error)
             .collect()
+    }
+
+    /// The rejecting error of `src` under the typed environment.
+    fn verdict(src: &str) -> Option<ScriptError> {
+        first_error(&run_check(src, &typed_env()))
+    }
+
+    fn well_typed(src: &str) {
+        assert_eq!(verdict(src), None, "{src}");
+    }
+
+    fn type_err(src: &str) -> String {
+        match verdict(src) {
+            Some(err @ ScriptError::Type { .. }) => err.to_string(),
+            other => panic!("expected a type error for {src:?}, got {other:?}"),
+        }
     }
 
     #[test]
@@ -526,9 +1231,9 @@ mod tests {
 
     #[test]
     fn builtin_list_matches_interpreter() {
-        // Every name in BUILTINS must actually resolve when called.
+        // Every name in BUILTIN_NAMES must actually resolve when called.
         let mut interp = crate::Interpreter::new();
-        for b in BUILTINS {
+        for b in BUILTIN_NAMES {
             let src = match *b {
                 "print" => "print(1)".to_string(),
                 "range" => "range(1)".to_string(),
@@ -539,5 +1244,146 @@ mod tests {
             let res = interp.run(&src);
             assert!(res.is_ok(), "builtin {b} failed: {res:?}");
         }
+    }
+
+    #[test]
+    fn accepts_well_typed_programs() {
+        well_typed(
+            "files = list_files()\nfor f in files:\n    text = read_file(f)\n    print(text)",
+        );
+        well_typed("x = 1\nif x > 0:\n    y = 'pos'\nelse:\n    y = 'neg'\nprint(y)");
+        well_typed("total = 0\nfor n in range(10):\n    total += n\ntotal");
+        well_typed(
+            "def rate(name):\n    text = read_file(name)\n    return len(text)\nrate('a.txt')",
+        );
+    }
+
+    #[test]
+    fn rejects_use_before_assign() {
+        let msg = type_err("print(x)\nx = 1");
+        assert!(msg.contains("used before assignment"), "{msg}");
+        well_typed("x = 1\nprint(x)");
+    }
+
+    #[test]
+    fn rejects_tool_arity_errors() {
+        let msg = type_err("read_file('a.txt', 'extra')");
+        assert!(msg.contains("takes 1 argument"), "{msg}");
+        let msg = type_err("list_files('oops')");
+        assert!(msg.contains("takes 0 arguments"), "{msg}");
+    }
+
+    #[test]
+    fn rejects_tool_argument_type_errors() {
+        let msg = type_err("read_file(42)");
+        assert!(msg.contains("expects str, got int"), "{msg}");
+        let msg = type_err("search_keywords('q', 'not-an-int')");
+        assert!(msg.contains("expects int, got str"), "{msg}");
+    }
+
+    #[test]
+    fn tool_calls_shadowed_by_assignment_are_skipped() {
+        // `read_file` is reassigned somewhere, so the call cannot be
+        // statically bound to the tool.
+        well_typed("read_file = 1\nx = 2\nprint(x)");
+    }
+
+    #[test]
+    fn unparseable_signatures_are_not_arity_checked() {
+        let mut env = CheckEnv::default();
+        env.add_tool("opaque", "opaque tool, no signature");
+        assert_eq!(env.tools["opaque"], None);
+        let issues = run_check("opaque(1, 2, 3)", &env);
+        assert_eq!(first_error(&issues), None, "{issues:?}");
+    }
+
+    #[test]
+    fn rejects_definite_operator_misuse() {
+        let msg = type_err("x = 'a' + 1");
+        assert!(msg.contains("cannot add str and int"), "{msg}");
+        let msg = type_err("x = {} - 1");
+        assert!(msg.contains("unsupported operand types"), "{msg}");
+        let msg = type_err("x = 'a' % 2");
+        assert!(msg.contains("'%' needs ints"), "{msg}");
+    }
+
+    #[test]
+    fn branch_join_collapses_types() {
+        // int in one arm, str in the other: join is Any, so later use
+        // with either type passes.
+        well_typed("if 1 > 0:\n    v = 1\nelse:\n    v = 'x'\nw = v\nprint(w)");
+        // Both arms int: later arithmetic stays checked.
+        let msg = type_err("if 1 > 0:\n    v = 1\nelse:\n    v = 2\nx = 'a' + v");
+        assert!(msg.contains("cannot add"), "{msg}");
+    }
+
+    #[test]
+    fn loop_carried_variables_allowed() {
+        well_typed("total = 0\nwhile total < 5:\n    total += 1\nprint(total)");
+        well_typed("for f in list_files():\n    last = f\n");
+    }
+
+    #[test]
+    fn function_locals_checked_for_use_before_assign() {
+        let msg = type_err("def f(n):\n    m = q\n    q = n\n    return m\nf(1)");
+        assert!(msg.contains("'q' used before assignment"), "{msg}");
+    }
+
+    #[test]
+    fn late_bound_globals_allowed_in_functions() {
+        // `helper` is defined after `f` but before the call: legal.
+        well_typed("def f(n):\n    return helper(n)\ndef helper(n):\n    return n + 1\nf(1)");
+    }
+
+    #[test]
+    fn rejects_calling_non_callables() {
+        let msg = type_err("x = 3\nx()");
+        assert!(msg.contains("not callable"), "{msg}");
+    }
+
+    #[test]
+    fn structural_errors_win_over_earlier_type_errors() {
+        let issues = run_check("x = 'a' + 1\nboom()", &typed_env());
+        let err = first_error(&issues).expect("rejected");
+        assert!(matches!(err, ScriptError::Static { line: 2, .. }), "{err}");
+        // Both findings are reported; the type error comes last.
+        let last = issues.last().expect("issues");
+        assert_eq!((last.code, last.line), ("type-mismatch", 1));
+    }
+
+    #[test]
+    fn first_type_error_is_in_walk_order() {
+        // The argument is checked before the call's arity, although the
+        // argument sits on a later line.
+        let msg = type_err("read_file('a',\n    'b' + 1)");
+        assert!(msg.starts_with("type error (line 2): cannot add"), "{msg}");
+    }
+
+    #[test]
+    fn globals_are_assigned_names() {
+        let mut env = typed_env();
+        env.globals.insert("files".into());
+        assert_eq!(
+            first_error(&run_check("print(files)", &env)),
+            None,
+            "a global is assigned"
+        );
+        // A global may be rebound, so a tool call of that name is not
+        // checked against the tool's signature.
+        env.globals.insert("read_file".into());
+        assert_eq!(first_error(&run_check("read_file(1, 2)", &env)), None);
+    }
+
+    #[test]
+    fn signature_parsing() {
+        let sig = ToolSig::parse("search_keywords(query: str, k: int) -> list[str]").unwrap();
+        assert_eq!(sig.params.len(), 2);
+        assert_eq!(sig.params[0], ("query".to_string(), Ty::Str));
+        assert_eq!(sig.params[1], ("k".to_string(), Ty::Int));
+        assert_eq!(sig.ret, Ty::List);
+        let sig = ToolSig::parse("final_answer(answer) -> None").unwrap();
+        assert_eq!(sig.params, vec![("answer".to_string(), Ty::Any)]);
+        assert_eq!(sig.ret, Ty::None);
+        assert!(ToolSig::parse("not a signature").is_none());
     }
 }

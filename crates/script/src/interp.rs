@@ -92,48 +92,40 @@ impl Interpreter {
         self.fuel
     }
 
-    /// The static-check environment this interpreter provides: its
-    /// current globals and bound host functions (tools).
-    pub fn check_env(&self) -> crate::check::CheckEnv {
-        crate::check::CheckEnv {
-            globals: self.globals.keys().cloned().collect(),
-            tools: self.host_fns.keys().cloned().collect(),
-        }
+    /// Names of the live globals: state carried between runs.
+    pub fn global_names(&self) -> impl Iterator<Item = &str> {
+        self.globals.keys().map(String::as_str)
     }
 
-    /// Statically checks `source` against this interpreter's environment
-    /// without executing anything. Parse failures surface as a single
-    /// parse-error issue so callers see one uniform issue list.
-    pub fn check_source(&self, source: &str) -> Vec<crate::check::CheckIssue> {
-        match parse(source) {
-            Ok(program) => crate::check::check(&program, &self.check_env()),
-            Err(e) => vec![crate::check::CheckIssue {
-                code: "parse-error",
-                severity: crate::check::CheckSeverity::Error,
-                line: e.line().unwrap_or(0),
-                message: e.to_string(),
-            }],
-        }
-    }
-
-    /// Like [`Interpreter::run`], but rejects the program with
-    /// [`ScriptError::Static`] (or the parse error) before executing —
-    /// and before the caller spends any budget on — a program the
-    /// checker can prove malformed. Warnings do not block execution.
+    /// Like [`Interpreter::run`], but rejects the program before
+    /// executing — and before the caller spends any budget on — it when
+    /// the static pass ([`crate::check`]) finds an error, checked against
+    /// this interpreter's globals and bound host functions (whose
+    /// signatures are unknown). Warnings do not block execution.
     pub fn run_checked(&mut self, source: &str) -> Result<ScriptValue, ScriptError> {
         let program = parse(source)?;
-        let issues = crate::check::check(&program, &self.check_env());
-        if let Some(err) = crate::check::first_error(&issues) {
+        let env = crate::check::CheckEnv {
+            globals: self.globals.keys().cloned().collect(),
+            tools: self
+                .host_fns
+                .keys()
+                .map(|name| (name.clone(), None))
+                .collect(),
+        };
+        if let Some(err) = crate::check::first_error(&crate::check::check(&program, &env)) {
             return Err(err);
         }
-        self.run(source)
+        self.run_program(&program)
     }
 
     /// Parses and executes a program, returning the value of its final
     /// expression statement (`None` if the program ends with a non-
     /// expression statement). Globals persist across calls.
     pub fn run(&mut self, source: &str) -> Result<ScriptValue, ScriptError> {
-        let program = parse(source)?;
+        self.run_program(&parse(source)?)
+    }
+
+    fn run_program(&mut self, program: &Program) -> Result<ScriptValue, ScriptError> {
         self.fuel = self.fuel_limit;
         let mut last = ScriptValue::None;
         for stmt in &program.body {

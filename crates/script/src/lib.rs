@@ -9,17 +9,21 @@
 //! * a Python-style indentation-sensitive **lexer** ([`lexer`]),
 //! * a recursive-descent **parser** ([`parser`]) producing a small AST
 //!   ([`ast`]),
+//! * one **static pass** ([`check`]) between parsing and compiling that
+//!   rejects provably malformed programs — undefined names, unknown
+//!   tools, `while True` with no exit, and flow-sensitive type errors
+//!   such as use before assignment or wrong tool arity — before the
+//!   caller spends any simulated budget on them,
+//! * a **bytecode compiler** ([`bytecode`]) with static cost bounds
+//!   ([`bounds`]) and a register **VM** ([`vm`]) that runs agent steps,
 //! * a tree-walking **interpreter** ([`interp`]) with mutable lists/dicts,
 //!   user functions, bound string/list/dict methods, and a useful builtin
-//!   library (`len`, `range`, `sorted`, `sum`, `print`, …),
+//!   library (`len`, `range`, `sorted`, `sum`, `print`, …) — the
+//!   reference semantics the VM is differentially tested against,
 //! * **host-function binding** so agent tools (`list_files`, `read_file`,
 //!   `run_semantic_program`, …) appear as ordinary callables, and
 //! * **fuel limits** so a runaway agent program terminates deterministically
-//!   instead of hanging an experiment, and
-//! * a **static checker** ([`check`]) run before interpretation
-//!   ([`Interpreter::run_checked`]) that rejects provably malformed
-//!   programs — undefined names, unknown tools, `while True` with no
-//!   exit — before the caller spends any simulated budget on them.
+//!   instead of hanging an experiment.
 //!
 //! The supported subset is what the simulated planners emit: assignments,
 //! `if`/`elif`/`else`, `while`, `for … in`, `def`, `return`, arithmetic,
@@ -50,7 +54,6 @@ pub mod error;
 pub mod interp;
 pub mod lexer;
 pub mod parser;
-pub mod types;
 pub mod value;
 pub mod vm;
 
@@ -58,11 +61,10 @@ pub use bounds::{
     analyze, Bound, CostBound, BUILTIN_NAMES, TOOL_CALL_MAX_INPUT_TOKENS,
     TOOL_CALL_MAX_OUTPUT_TOKENS,
 };
-pub use bytecode::{compile, compile_source, plan_content_hash, CompiledProgram};
-pub use check::{CheckEnv, CheckIssue, CheckSeverity};
+pub use bytecode::{compile, compile_source, CompiledProgram};
+pub use check::{CheckEnv, CheckIssue, CheckSeverity, ToolSig, Ty};
 pub use error::ScriptError;
 pub use interp::Interpreter;
-pub use types::{typecheck, ToolSig, Ty, TypeEnv};
 pub use value::ScriptValue;
 
 /// Crate-wide result alias.

@@ -4,7 +4,7 @@
 //! crate-level half of the zero-spend guarantee the agents runtime
 //! builds on (its own tests assert $0.00 and zero virtual latency).
 
-use aida_script::{Interpreter, ScriptError, ScriptValue};
+use aida_script::{check, parser, CheckEnv, Interpreter, ScriptError, ScriptValue};
 use std::cell::Cell;
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -85,16 +85,34 @@ fn warnings_do_not_block_execution() {
     // Dead branch + unused variable: warnings only.
     let (mut interp, _) = probed_interp();
     let src = "unused = 1\nif False:\n    probe()\n42";
-    let issues = interp.check_source(src);
+    let mut env = CheckEnv::default();
+    env.tools.insert("probe".into(), None);
+    let issues = check::check(&parser::parse(src).expect("parses"), &env);
     assert!(!issues.is_empty(), "expected warnings");
+    assert!(check::first_error(&issues).is_none(), "{issues:?}");
     let value = interp.run_checked(src).expect("warnings still run");
     assert_eq!(value, ScriptValue::Int(42));
 }
 
 #[test]
-fn check_source_surfaces_parse_errors_as_issues() {
-    let (interp, _) = probed_interp();
-    let issues = interp.check_source(&fixture("syntax_error.pyr"));
-    assert_eq!(issues.len(), 1);
-    assert_eq!(issues[0].code, "parse-error");
+fn type_errors_are_rejected_before_execution() {
+    let (mut interp, calls) = probed_interp();
+    let err = interp
+        .run_checked("probe()\nx = 'a' + 1")
+        .expect_err("ill-typed program is rejected");
+    assert!(matches!(err, ScriptError::Type { line: 2, .. }), "{err}");
+    assert_eq!(calls.get(), 0, "probe() ran before the rejection");
+}
+
+#[test]
+fn run_checked_reports_parse_errors_unwrapped() {
+    let (mut interp, calls) = probed_interp();
+    let err = interp
+        .run_checked(&fixture("syntax_error.pyr"))
+        .expect_err("syntax error");
+    assert!(
+        matches!(err, ScriptError::Lex { .. } | ScriptError::Parse { .. }),
+        "{err:?}"
+    );
+    assert_eq!(calls.get(), 0);
 }

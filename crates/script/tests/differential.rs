@@ -15,7 +15,7 @@
 //! artifact format.
 
 use aida_script::bytecode::{compile_source, CompiledProgram};
-use aida_script::{Interpreter, ToolSig, TypeEnv};
+use aida_script::{check, CheckEnv, Interpreter, ScriptError, ToolSig};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -87,6 +87,10 @@ const FIXTURES: &[&str] = &[
     "xs = [1, 2, 3]\nxs['a':2]",
     // Shadowing: assigning over a builtin name then calling it.
     "len = 5\nemit(len)\nlen",
+    // --- agent step programs: a CSV sum, step by step and as one run ---
+    "files = list_files()\nprint(files)",
+    "c = read_file('a.csv')\nrows = c.splitlines()\ntotal = 0\nfor r in rows[1:]:\n    total += int(r.split(',')[1])\nprint(total)",
+    "files = list_files()\nprint(files)\nc = read_file('a.csv')\nrows = c.splitlines()\ntotal = 0\nfor r in rows[1:]:\n    total += int(r.split(',')[1])\nprint(total)\nemit(total)",
 ];
 
 #[test]
@@ -154,18 +158,22 @@ fn compiled_artifacts_round_trip_and_rerun() {
 }
 
 #[test]
-fn typecheck_rejects_ill_typed_fixtures_before_any_execution() {
-    // Script-layer zero-spend guarantee: programs the typechecker
+fn check_rejects_ill_typed_fixtures_before_any_execution() {
+    // Script-layer zero-spend guarantee: programs the static pass
     // rejects never reach either engine, so no tools run and no fuel is
     // charged.
-    let mut env = TypeEnv::new();
+    let mut env = CheckEnv::default();
     for (name, sig) in [
         ("list_files", "list_files() -> list[str]"),
         ("read_file", "read_file(name: str) -> str"),
         ("emit", "emit(value) -> None"),
     ] {
-        env.add_tool_signature(name, sig);
+        env.add_tool(name, sig);
     }
+    let first_error = |src: &str| {
+        let program = aida_script::parser::parse(src).expect("parses");
+        check::first_error(&check::check(&program, &env))
+    };
     let ill_typed = [
         "print(x)\nx = 1",
         "read_file(42)",
@@ -174,9 +182,11 @@ fn typecheck_rejects_ill_typed_fixtures_before_any_execution() {
         "x = 3\nx()",
     ];
     for src in ill_typed {
-        let program = aida_script::parser::parse(src).expect("parses");
-        let err = aida_script::typecheck(&program, &env).expect_err(src);
-        assert!(matches!(err, aida_script::ScriptError::Type { .. }));
+        let err = first_error(src);
+        assert!(
+            matches!(err, Some(ScriptError::Type { .. })),
+            "{src}: {err:?}"
+        );
     }
     // The well-typed fixtures must not be rejected (no false positives
     // on the agent corpus shapes) — except those designed to be
@@ -189,9 +199,9 @@ fn typecheck_rejects_ill_typed_fixtures_before_any_execution() {
         FIXTURES[4],
     ];
     for src in well_typed {
-        let program = aida_script::parser::parse(src).expect("parses");
-        assert!(
-            aida_script::typecheck(&program, &env).is_ok(),
+        assert_eq!(
+            first_error(src),
+            None,
             "false positive on corpus program:\n{src}"
         );
     }

@@ -20,7 +20,7 @@
 //! Set `PYRITE_GOLDEN_BLESS=1` to rewrite the golden file after an
 //! intended change, and review the diff.
 
-use aida_script::{check, compile, parser, Interpreter, ScriptValue, Ty, TypeEnv};
+use aida_script::{check, compile, parser, CheckEnv, ScriptError};
 use proptest::prelude::*;
 use proptest::rng::TestRng;
 use std::fmt::Write as _;
@@ -69,29 +69,29 @@ const TOOLS: &[(&str, &str)] = &[
 /// a tool).
 const GLOBALS: &[&str] = &["files", "total", "hits", "lookup"];
 
-/// The verdict of the front end on `src`.
+/// The verdict of the front end on `src`: parse, the static pass, then
+/// compile, labelled the way an agent step records a rejection.
 fn verdict(src: &str) -> String {
-    let mut interp = Interpreter::new();
-    for (name, _) in TOOLS {
-        interp.bind_host_fn(name, |_| Ok(ScriptValue::None));
-    }
-    for name in GLOBALS {
-        interp.set_global(name, ScriptValue::Int(1));
-    }
-    if let Some(err) = check::first_error(&interp.check_source(src)) {
-        return format!("static-check: {err}");
-    }
-    let program = parser::parse(src).expect("checked programs parse");
-    let mut env = TypeEnv::new();
+    let program = match parser::parse(src) {
+        Ok(program) => program,
+        Err(err) => {
+            let line = err.line().unwrap_or(0);
+            let message = err.to_string();
+            return format!("static-check: {}", ScriptError::Static { line, message });
+        }
+    };
+    let mut env = CheckEnv::default();
     for (name, sig) in TOOLS {
-        env.add_tool_signature(name, sig);
+        env.add_tool(name, sig);
     }
-    for name in GLOBALS {
-        env.bind_global(name, Ty::Any);
-    }
-    match aida_script::typecheck(&program, &env).and_then(|()| compile(&program)) {
-        Ok(_) => "ok".to_string(),
-        Err(err) => format!("typecheck: {err}"),
+    env.globals.extend(GLOBALS.iter().map(|g| g.to_string()));
+    match check::first_error(&check::check(&program, &env)) {
+        Some(err @ ScriptError::Type { .. }) => format!("typecheck: {err}"),
+        Some(err) => format!("static-check: {err}"),
+        None => match compile(&program) {
+            Ok(_) => "ok".to_string(),
+            Err(err) => format!("typecheck: {err}"),
+        },
     }
 }
 
