@@ -138,26 +138,72 @@ pub struct Program {
     pub body: Vec<Stmt>,
 }
 
+/// Calls `f` on `e` and then on every sub-expression, pre-order.
+pub(crate) fn walk_expr<'e>(e: &'e Expr, f: &mut dyn FnMut(&'e Expr)) {
+    f(e);
+    match &e.kind {
+        ExprKind::List(items) => items.iter().for_each(|e| walk_expr(e, f)),
+        ExprKind::Dict(pairs) => {
+            for (k, v) in pairs {
+                walk_expr(k, f);
+                walk_expr(v, f);
+            }
+        }
+        ExprKind::Binary(_, a, b) | ExprKind::Index(a, b) => {
+            walk_expr(a, f);
+            walk_expr(b, f);
+        }
+        ExprKind::Unary(_, a) => walk_expr(a, f),
+        ExprKind::Call(obj, args) | ExprKind::MethodCall(obj, _, args) => {
+            walk_expr(obj, f);
+            args.iter().for_each(|e| walk_expr(e, f));
+        }
+        ExprKind::ListComp {
+            element,
+            iterable,
+            condition,
+            ..
+        } => {
+            walk_expr(element, f);
+            walk_expr(iterable, f);
+            if let Some(c) = condition {
+                walk_expr(c, f);
+            }
+        }
+        ExprKind::Slice(obj, lo, hi) => {
+            walk_expr(obj, f);
+            if let Some(lo) = lo {
+                walk_expr(lo, f);
+            }
+            if let Some(hi) = hi {
+                walk_expr(hi, f);
+            }
+        }
+        ExprKind::Int(_)
+        | ExprKind::Float(_)
+        | ExprKind::Str(_)
+        | ExprKind::Bool(_)
+        | ExprKind::None
+        | ExprKind::Name(_) => {}
+    }
+}
+
 /// Collects every name a statement list can assign in its own frame
 /// (assignment targets, loop variables, `def` names, comprehension
-/// variables), without descending into nested `def` bodies — those are
-/// separate frames.
-pub fn collect_assigned(stmts: &[Stmt], out: &mut Vec<String>) {
-    let add = |name: &str, out: &mut Vec<String>| {
-        if !out.iter().any(|n| n == name) {
-            out.push(name.to_string());
-        }
-    };
+/// variables), in first-assignment order, without descending into
+/// nested `def` bodies — those are separate frames. The order is the
+/// compiler's local slot order.
+pub(crate) fn collect_assigned(stmts: &[Stmt], out: &mut Vec<String>) {
     for s in stmts {
         match &s.kind {
             StmtKind::Expr(e) | StmtKind::Return(Some(e)) => comp_vars(e, out),
             StmtKind::Assign(target, e) | StmtKind::AugAssign(target, _, e) => {
-                if let Target::Name(n) = target {
-                    add(n, out);
-                }
-                if let Target::Index(o, k) = target {
-                    comp_vars(o, out);
-                    comp_vars(k, out);
+                match target {
+                    Target::Name(n) => add_name(n, out),
+                    Target::Index(o, k) => {
+                        comp_vars(o, out);
+                        comp_vars(k, out);
+                    }
                 }
                 comp_vars(e, out);
             }
@@ -176,12 +222,12 @@ pub fn collect_assigned(stmts: &[Stmt], out: &mut Vec<String>) {
             }
             StmtKind::For(vars, iterable, body) => {
                 for v in vars {
-                    add(v, out);
+                    add_name(v, out);
                 }
                 comp_vars(iterable, out);
                 collect_assigned(body, out);
             }
-            StmtKind::Def(name, _, _) => add(name, out),
+            StmtKind::Def(name, _, _) => add_name(name, out),
             StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue | StmtKind::Pass => {}
         }
     }
@@ -190,72 +236,19 @@ pub fn collect_assigned(stmts: &[Stmt], out: &mut Vec<String>) {
 /// Collects comprehension variables from every sub-expression (they bind
 /// in the enclosing frame, Python-2 style, exactly as the interpreter's
 /// `bind_loop_vars` does).
-pub fn comp_vars(e: &Expr, out: &mut Vec<String>) {
-    match &e.kind {
-        ExprKind::ListComp {
-            element,
-            vars,
-            iterable,
-            condition,
-        } => {
+fn comp_vars(e: &Expr, out: &mut Vec<String>) {
+    walk_expr(e, &mut |e| {
+        if let ExprKind::ListComp { vars, .. } = &e.kind {
             for v in vars {
-                if !out.iter().any(|n| n == v) {
-                    out.push(v.clone());
-                }
-            }
-            comp_vars(element, out);
-            comp_vars(iterable, out);
-            if let Some(c) = condition {
-                comp_vars(c, out);
+                add_name(v, out);
             }
         }
-        ExprKind::Binary(_, a, b) => {
-            comp_vars(a, out);
-            comp_vars(b, out);
-        }
-        ExprKind::Unary(_, a) => comp_vars(a, out),
-        ExprKind::Call(callee, args) => {
-            comp_vars(callee, out);
-            for a in args {
-                comp_vars(a, out);
-            }
-        }
-        ExprKind::MethodCall(obj, _, args) => {
-            comp_vars(obj, out);
-            for a in args {
-                comp_vars(a, out);
-            }
-        }
-        ExprKind::Index(o, k) => {
-            comp_vars(o, out);
-            comp_vars(k, out);
-        }
-        ExprKind::Slice(o, lo, hi) => {
-            comp_vars(o, out);
-            if let Some(b) = lo {
-                comp_vars(b, out);
-            }
-            if let Some(b) = hi {
-                comp_vars(b, out);
-            }
-        }
-        ExprKind::List(items) => {
-            for i in items {
-                comp_vars(i, out);
-            }
-        }
-        ExprKind::Dict(pairs) => {
-            for (k, v) in pairs {
-                comp_vars(k, out);
-                comp_vars(v, out);
-            }
-        }
-        ExprKind::Int(_)
-        | ExprKind::Float(_)
-        | ExprKind::Str(_)
-        | ExprKind::Bool(_)
-        | ExprKind::None
-        | ExprKind::Name(_) => {}
+    });
+}
+
+fn add_name(name: &str, out: &mut Vec<String>) {
+    if !out.iter().any(|n| n == name) {
+        out.push(name.to_string());
     }
 }
 

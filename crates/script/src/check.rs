@@ -33,7 +33,7 @@
 //! [`ScriptError::Type`].
 
 use crate::ast::{
-    collect_assigned, BinOp, Expr, ExprKind, Program, Stmt, StmtKind, Target, UnaryOp,
+    collect_assigned, walk_expr, BinOp, Expr, ExprKind, Program, Stmt, StmtKind, Target, UnaryOp,
 };
 use crate::bounds::{is_builtin, BUILTIN_NAMES};
 use crate::error::ScriptError;
@@ -206,7 +206,7 @@ pub enum CheckSeverity {
 }
 
 /// Codes of the type errors (every other code is structural).
-pub const TYPE_ERROR_CODES: &[&str] = &[
+const TYPE_ERROR_CODES: &[&str] = &[
     "use-before-assign",
     "tool-arity",
     "tool-arg-type",
@@ -218,7 +218,8 @@ pub const TYPE_ERROR_CODES: &[&str] = &[
 pub struct CheckIssue {
     /// Stable issue code: structural `"undefined-name"`,
     /// `"unknown-call"`, `"unbounded-loop"`, `"dead-branch"`,
-    /// `"unused-variable"`, or one of [`TYPE_ERROR_CODES`].
+    /// `"unused-variable"`, or a type error: `"use-before-assign"`,
+    /// `"tool-arity"`, `"tool-arg-type"`, `"type-mismatch"`.
     pub code: &'static str,
     /// Severity.
     pub severity: CheckSeverity,
@@ -294,7 +295,7 @@ pub fn first_error(issues: &[CheckIssue]) -> Option<ScriptError> {
 }
 
 /// Per-path variable state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Flow {
     /// Every name some path reaching here may have assigned, with its
     /// type; a name that is absent is unassigned on every path.
@@ -400,57 +401,6 @@ fn collect_defined(body: &[Stmt], out: &mut BTreeSet<String>) {
 /// Calls `f` on every expression of `stmt` itself (not of its nested
 /// blocks), pre-order.
 fn visit_exprs<'s>(stmt: &'s Stmt, f: &mut dyn FnMut(&'s Expr)) {
-    fn walk_expr<'e>(e: &'e Expr, f: &mut dyn FnMut(&'e Expr)) {
-        f(e);
-        match &e.kind {
-            ExprKind::List(items) => items.iter().for_each(|e| walk_expr(e, f)),
-            ExprKind::Dict(pairs) => {
-                for (k, v) in pairs {
-                    walk_expr(k, f);
-                    walk_expr(v, f);
-                }
-            }
-            ExprKind::Binary(_, a, b) => {
-                walk_expr(a, f);
-                walk_expr(b, f);
-            }
-            ExprKind::Unary(_, a) => walk_expr(a, f),
-            ExprKind::Call(callee, args) => {
-                walk_expr(callee, f);
-                args.iter().for_each(|e| walk_expr(e, f));
-            }
-            ExprKind::MethodCall(obj, _, args) => {
-                walk_expr(obj, f);
-                args.iter().for_each(|e| walk_expr(e, f));
-            }
-            ExprKind::Index(obj, key) => {
-                walk_expr(obj, f);
-                walk_expr(key, f);
-            }
-            ExprKind::ListComp {
-                element,
-                iterable,
-                condition,
-                ..
-            } => {
-                walk_expr(element, f);
-                walk_expr(iterable, f);
-                if let Some(c) = condition {
-                    walk_expr(c, f);
-                }
-            }
-            ExprKind::Slice(obj, lo, hi) => {
-                walk_expr(obj, f);
-                if let Some(lo) = lo {
-                    walk_expr(lo, f);
-                }
-                if let Some(hi) = hi {
-                    walk_expr(hi, f);
-                }
-            }
-            _ => {}
-        }
-    }
     match &stmt.kind {
         StmtKind::Expr(e) | StmtKind::Return(Some(e)) => walk_expr(e, f),
         StmtKind::Assign(t, e) | StmtKind::AugAssign(t, _, e) => {
@@ -1289,15 +1239,6 @@ mod tests {
     }
 
     #[test]
-    fn unparseable_signatures_are_not_arity_checked() {
-        let mut env = CheckEnv::default();
-        env.add_tool("opaque", "opaque tool, no signature");
-        assert_eq!(env.tools["opaque"], None);
-        let issues = run_check("opaque(1, 2, 3)", &env);
-        assert_eq!(first_error(&issues), None, "{issues:?}");
-    }
-
-    #[test]
     fn rejects_definite_operator_misuse() {
         let msg = type_err("x = 'a' + 1");
         assert!(msg.contains("cannot add str and int"), "{msg}");
@@ -1349,29 +1290,6 @@ mod tests {
         // Both findings are reported; the type error comes last.
         let last = issues.last().expect("issues");
         assert_eq!((last.code, last.line), ("type-mismatch", 1));
-    }
-
-    #[test]
-    fn first_type_error_is_in_walk_order() {
-        // The argument is checked before the call's arity, although the
-        // argument sits on a later line.
-        let msg = type_err("read_file('a',\n    'b' + 1)");
-        assert!(msg.starts_with("type error (line 2): cannot add"), "{msg}");
-    }
-
-    #[test]
-    fn globals_are_assigned_names() {
-        let mut env = typed_env();
-        env.globals.insert("files".into());
-        assert_eq!(
-            first_error(&run_check("print(files)", &env)),
-            None,
-            "a global is assigned"
-        );
-        // A global may be rebound, so a tool call of that name is not
-        // checked against the tool's signature.
-        env.globals.insert("read_file".into());
-        assert_eq!(first_error(&run_check("read_file(1, 2)", &env)), None);
     }
 
     #[test]
