@@ -5,8 +5,8 @@
 //!
 //! * **tree-walk** — `Interpreter::run(source)` per iteration: parse +
 //!   AST walk, exactly what the agent loop did before the VM landed.
-//! * **cold VM** — parse + typecheck + compile + execute per iteration:
-//!   the first execution of a freshly planned step.
+//! * **cold VM** — parse + compile + execute per iteration: the first
+//!   execution of a freshly planned step, without the static pass.
 //! * **warm VM** — compile once, `run_compiled` per iteration: repeated
 //!   execution of a cached plan (the semantic cache keys plans by the
 //!   compiled program's content hash, so warm re-runs are the common
