@@ -154,6 +154,19 @@ fn plans(lake: &DataLake) -> Vec<(&'static str, Dataset, ModelId)> {
                 .sem_filter("mentions identity theft"),
             ModelId::Flagship,
         ),
+        (
+            // Rows without `contents` are read as their rendered fields,
+            // so the joined rows of one source differ per right match.
+            "project_join_filter",
+            scan.project(&["filename"])
+                .limit(3)
+                .sem_join(
+                    "the left item mentions identity theft, fraud or the Raptor hedge",
+                    &scan.limit(3),
+                )
+                .sem_filter("mentions identity theft"),
+            ModelId::Flagship,
+        ),
     ]
 }
 
