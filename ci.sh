@@ -11,6 +11,16 @@ cargo test -q
 # package's integration tests.
 cargo test --workspace -q
 
+# perfbench is a cargo workspace of its own, so the steps above never
+# compile it: an API change in a runtime crate could break the benchmark
+# build unseen. Build it and run its tests (offline, release).
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
+# Cache-key identity of memoized document subjects, in release: the
+# simulator's debug_assert against a stale text hash is compiled out
+# there, so the property is the only check of release keys.
+cargo test -q --release -p aida-llm --test key_identity
+
 # Static analysis: the workspace must stay clean above the checked-in
 # baseline (lint.toml), and the lint report itself must be
 # deterministic — two runs produce byte-identical JSONL.

@@ -88,14 +88,14 @@ pub fn lake_tools(lake: &DataLake) -> Vec<Arc<dyn Tool>> {
             let doc = read_lake
                 .get(name)
                 .ok_or_else(|| ScriptError::host(format!("no such file: {name}")))?;
-            Ok(ScriptValue::str(doc.text()))
+            Ok(ScriptValue::str(doc.reader_text()))
         },
     ));
 
     let index = KeywordIndex::build(
         lake.docs()
             .iter()
-            .map(|doc| (doc.name.as_str(), doc.text())),
+            .map(|doc| (doc.name.as_str(), doc.reader_text())),
     );
     let search_keywords: Arc<dyn Tool> = Arc::new(FnTool::new(
         ToolSpec::new(

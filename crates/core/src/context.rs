@@ -258,8 +258,12 @@ impl ContextBuilder {
 /// bounded work.
 fn embed_lake(lake: &DataLake, runtime: &Runtime, index: &mut dyn VectorIndex) {
     for doc in lake.docs() {
-        let text: String = doc.text().chars().take(2_000).collect();
-        index.add(&doc.name, runtime.env().embedder.embed(&text));
+        let text = doc.reader_text();
+        let end = text
+            .char_indices()
+            .nth(2_000)
+            .map_or(text.len(), |(i, _)| i);
+        index.add(&doc.name, runtime.env().embedder.embed(&text[..end]));
     }
 }
 

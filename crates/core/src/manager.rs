@@ -436,7 +436,7 @@ fn encode_entry(entry: &MaterializedContext, out: &mut String) {
         out.push_str("D\t");
         esc(&doc.name, out);
         out.push('\t');
-        esc(&doc.content, out);
+        esc(doc.content(), out);
         out.push('\t');
         out.push_str(&doc.labels.len().to_string());
         for (key, value) in &doc.labels {

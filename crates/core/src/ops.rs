@@ -384,15 +384,17 @@ fn narrowed_lake(lake: &DataLake, records: &[aida_data::Record]) -> Option<DataL
     let mut names: Vec<&str> = records.iter().map(|r| r.source.as_str()).collect();
     names.sort_unstable();
     names.dedup();
+    // Share the parent's documents: a narrowed Context reuses their
+    // memoized reader text and hash instead of rendering copies.
     let docs: Vec<_> = names
         .iter()
         .filter_map(|name| lake.get(name))
-        .map(|d| d.as_ref().clone())
+        .cloned()
         .collect();
     if docs.is_empty() {
         None
     } else {
-        Some(DataLake::from_docs(docs))
+        Some(DataLake::from_shared(docs))
     }
 }
 

@@ -3,8 +3,10 @@
 use crate::html;
 use crate::table::Table;
 use crate::value::Value;
-use crate::{csv, DataError};
+use crate::{csv, hash, DataError};
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// The format of a document's content.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,18 +43,49 @@ impl DocKind {
 /// generators — they are **never** exposed to agents or semantic operators
 /// directly; only the simulated-LLM oracle (which stands in for a model
 /// actually reading the text) consults them.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The reader text ([`Document::reader_text`]) and its hash
+/// ([`Document::text_hash`]) are computed on first use and memoized, so a
+/// document shared behind an `Arc` is rendered and hashed at most once
+/// however many operators, tools and cache probes read it. `content` and
+/// `kind` are private so the memos cannot go stale; equality and `Debug`
+/// ignore them.
+#[derive(Clone)]
 pub struct Document {
     /// Stable identifier, unique within a lake.
     pub id: String,
     /// File name (used by list/read tools and filename heuristics).
     pub name: String,
-    /// Content format.
-    pub kind: DocKind,
-    /// Raw file content.
-    pub content: String,
+    kind: DocKind,
+    content: String,
     /// Hidden ground-truth labels (oracle-only).
     pub labels: BTreeMap<String, Value>,
+    /// HTML rendered to text (other kinds read `content` directly).
+    rendered: OnceLock<String>,
+    /// [`hash::hash_str`] of the reader text.
+    text_hash: OnceLock<u64>,
+}
+
+impl PartialEq for Document {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+            && self.name == other.name
+            && self.kind == other.kind
+            && self.content == other.content
+            && self.labels == other.labels
+    }
+}
+
+impl fmt::Debug for Document {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Document")
+            .field("id", &self.id)
+            .field("name", &self.name)
+            .field("kind", &self.kind)
+            .field("content", &self.content)
+            .field("labels", &self.labels)
+            .finish()
+    }
 }
 
 impl Document {
@@ -65,7 +98,19 @@ impl Document {
             name,
             content: content.into(),
             labels: BTreeMap::new(),
+            rendered: OnceLock::new(),
+            text_hash: OnceLock::new(),
         }
+    }
+
+    /// Content format.
+    pub fn kind(&self) -> DocKind {
+        self.kind
+    }
+
+    /// Raw file content.
+    pub fn content(&self) -> &str {
+        &self.content
     }
 
     /// Builder-style ground-truth label insertion.
@@ -79,13 +124,26 @@ impl Document {
         self.labels.get(key)
     }
 
-    /// Returns the document's visible text: HTML is stripped, other kinds
-    /// pass through unchanged.
-    pub fn text(&self) -> String {
+    /// The document's visible text, borrowed: HTML is rendered once on
+    /// first use and memoized, other kinds are their content.
+    pub fn reader_text(&self) -> &str {
         match self.kind {
-            DocKind::Html => html::to_text(&self.content),
-            _ => self.content.clone(),
+            DocKind::Html => self.rendered.get_or_init(|| html::to_text(&self.content)),
+            _ => &self.content,
         }
+    }
+
+    /// [`hash::hash_str`] of [`Document::reader_text`], computed once.
+    pub fn text_hash(&self) -> u64 {
+        *self
+            .text_hash
+            .get_or_init(|| hash::hash_str(self.reader_text()))
+    }
+
+    /// Returns the document's visible text as an owned string: HTML is
+    /// stripped, other kinds pass through unchanged.
+    pub fn text(&self) -> String {
+        self.reader_text().to_string()
     }
 
     /// Parses structured tables out of the document (CSV body or HTML
@@ -182,5 +240,42 @@ mod tests {
     fn html_text_strips_markup() {
         let doc = Document::new("r.html", "<p>Total &amp; breakdown</p>");
         assert_eq!(doc.text().trim(), "Total & breakdown");
+    }
+
+    #[test]
+    fn reader_text_is_the_rendered_html_and_memoized() {
+        let content = "<h1>Caf&eacute; &amp; bar</h1><p>naïve — 12%</p>\
+                       <table><tr><td>2024</td><td>9</td></tr></table>";
+        let doc = Document::new("r.html", content);
+        assert_eq!(doc.reader_text(), html::to_text(content));
+        // The second read returns the memo, not a fresh render.
+        assert!(std::ptr::eq(doc.reader_text(), doc.reader_text()));
+        assert_eq!(doc.text(), doc.reader_text());
+        assert_eq!(doc.text_hash(), hash::hash_str(&html::to_text(content)));
+    }
+
+    #[test]
+    fn reader_text_borrows_non_html_content() {
+        for name in ["a.csv", "m.eml", "n.txt"] {
+            let doc = Document::new(name, "From: x\n\nbody, 1");
+            assert!(std::ptr::eq(doc.reader_text(), doc.content()));
+            assert_eq!(doc.text_hash(), hash::hash_str(doc.content()));
+        }
+        assert_eq!(Document::new("e.txt", "").reader_text(), "");
+    }
+
+    #[test]
+    fn equality_and_clone_ignore_memo_state() {
+        let fresh = Document::new("r.html", "<p>a &amp; b</p>").with_label("k", 1);
+        let warm = fresh.clone();
+        let _ = (warm.reader_text(), warm.text_hash());
+        assert_eq!(fresh, warm);
+        assert_eq!(warm, fresh);
+        let copy = warm.clone();
+        assert_eq!(copy, fresh);
+        assert_eq!(copy.reader_text(), fresh.reader_text());
+        assert_eq!(copy.text_hash(), fresh.text_hash());
+        assert_eq!(format!("{fresh:?}"), format!("{warm:?}"));
+        assert_ne!(fresh, Document::new("r.html", "<p>a &amp; c</p>"));
     }
 }

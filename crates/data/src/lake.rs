@@ -31,13 +31,29 @@ impl DataLake {
         lake
     }
 
+    /// Builds a lake over documents shared with another lake (no copies:
+    /// both see the same memoized reader text and hashes).
+    pub fn from_shared(docs: impl IntoIterator<Item = Arc<Document>>) -> Self {
+        let mut lake = DataLake::new();
+        for doc in docs {
+            lake.add_shared(doc);
+        }
+        lake
+    }
+
     /// Adds a document; a document with the same name replaces the old one.
     pub fn add(&mut self, doc: Document) {
+        self.add_shared(Arc::new(doc));
+    }
+
+    /// Adds a shared document; a document with the same name replaces the
+    /// old one.
+    pub fn add_shared(&mut self, doc: Arc<Document>) {
         match self.by_name.get(&doc.name) {
-            Some(&idx) => self.docs[idx] = Arc::new(doc),
+            Some(&idx) => self.docs[idx] = doc,
             None => {
                 self.by_name.insert(doc.name.clone(), self.docs.len());
-                self.docs.push(Arc::new(doc));
+                self.docs.push(doc);
             }
         }
     }
@@ -104,7 +120,7 @@ impl DataLake {
     pub fn save_dir(&self, dir: &Path) -> Result<(), DataError> {
         std::fs::create_dir_all(dir)?;
         for doc in &self.docs {
-            std::fs::write(dir.join(&doc.name), &doc.content)?;
+            std::fs::write(dir.join(&doc.name), doc.content())?;
         }
         Ok(())
     }
@@ -141,7 +157,7 @@ mod tests {
         let mut lake = lake();
         lake.add(Document::new("national.csv", "year,n\n2001,9\n"));
         assert_eq!(lake.len(), 3);
-        assert!(lake.get("national.csv").unwrap().content.contains("9"));
+        assert!(lake.get("national.csv").unwrap().content().contains("9"));
     }
 
     #[test]
@@ -188,8 +204,8 @@ mod tests {
         assert_eq!(loaded.len(), original.len());
         for doc in original.docs() {
             let back = loaded.get(&doc.name).unwrap();
-            assert_eq!(back.content, doc.content);
-            assert_eq!(back.kind, doc.kind);
+            assert_eq!(back.content(), doc.content());
+            assert_eq!(back.kind(), doc.kind());
             // Ground-truth labels intentionally do not survive disk.
             assert!(back.labels.is_empty());
         }

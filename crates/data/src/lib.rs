@@ -15,6 +15,8 @@
 //! * [`Table`] — an in-memory column-typed table (the structured side of the
 //!   runtime, fed into `aida-sql`).
 //! * [`DataLake`] — an in-memory collection of documents with name lookup.
+//! * [`hash`] — the one string hash (FNV-1a, SplitMix64) behind noise keys,
+//!   cache keys, checksums and plan hashes.
 //!
 //! Everything here is deterministic and dependency-free; parsing never
 //! panics on malformed input (errors are reported via [`DataError`]).
@@ -22,6 +24,7 @@
 pub mod csv;
 pub mod document;
 pub mod error;
+pub mod hash;
 pub mod html;
 pub mod lake;
 pub mod record;

@@ -5,24 +5,7 @@
 //! from a 64-bit hash of the decision's identity (seed, model, instruction,
 //! subject). Replays are exact; changing the seed re-rolls everything.
 
-/// SplitMix64: a fast, well-distributed 64-bit mixer.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Hashes a string into a 64-bit key (FNV-1a, then mixed).
-pub fn hash_str(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.as_bytes() {
-        h ^= u64::from(*byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    splitmix64(h)
-}
+pub use aida_data::hash::{hash_str, splitmix64};
 
 /// Combines hash keys into one (order-sensitive).
 pub fn combine(parts: &[u64]) -> u64 {

@@ -29,15 +29,21 @@ pub struct Subject<'a> {
     pub text: Cow<'a, str>,
     /// Hidden ground-truth labels (set by workload generators).
     pub labels: Option<&'a BTreeMap<String, Value>>,
+    /// `noise::hash_str(text)` when the caller already knows it (a
+    /// document's memoized [`Document::text_hash`]); cache-key
+    /// construction then skips re-hashing the text.
+    pub text_hash: Option<u64>,
 }
 
 impl<'a> Subject<'a> {
-    /// A subject backed by a document (HTML is stripped to text).
+    /// A subject backed by a document: it reads the memoized reader text
+    /// (HTML stripped) in place and carries the memoized text hash.
     pub fn doc(doc: &'a Document) -> Subject<'a> {
         Subject {
             name: Cow::Borrowed(doc.name.as_str()),
-            text: Cow::Owned(doc.text()),
+            text: Cow::Borrowed(doc.reader_text()),
             labels: Some(&doc.labels),
+            text_hash: Some(doc.text_hash()),
         }
     }
 
@@ -48,6 +54,7 @@ impl<'a> Subject<'a> {
             name: Cow::Borrowed(record.source.as_str()),
             text: Cow::Owned(record.render()),
             labels: origin.map(|d| &d.labels),
+            text_hash: None,
         }
     }
 
@@ -57,6 +64,7 @@ impl<'a> Subject<'a> {
             name: Cow::Borrowed(name),
             text: Cow::Borrowed(text),
             labels: None,
+            text_hash: None,
         }
     }
 

@@ -199,10 +199,22 @@ impl SimLlm {
     /// bytecode hash (drives the `plan_hits` stat class on hits).
     fn keyed(&self, model: ModelId, task: &LlmTask<'_>) -> (CacheKey, bool) {
         let mut plan_keyed = false;
+        let mut bytes_hashed = 0u64;
         let mut parts: Vec<u64> = vec![self.seed, noise::hash_str(model.name())];
-        let push_subject = |parts: &mut Vec<u64>, subject: &Subject<'_>| {
+        let mut push_subject = |parts: &mut Vec<u64>, subject: &Subject<'_>| {
             parts.push(noise::hash_str(&subject.name));
-            parts.push(noise::hash_str(&subject.text));
+            // A memoized text hash is the same FNV value, computed once
+            // per document instead of once per probe.
+            parts.push(match subject.text_hash {
+                Some(hash) => {
+                    debug_assert_eq!(hash, noise::hash_str(&subject.text), "stale text hash");
+                    hash
+                }
+                None => {
+                    bytes_hashed += subject.text.len() as u64;
+                    noise::hash_str(&subject.text)
+                }
+            });
             if let Some(labels) = subject.labels {
                 for (name, value) in labels {
                     parts.push(noise::hash_str(name));
@@ -272,6 +284,10 @@ impl SimLlm {
                     None => parts.push(noise::hash_str(response)),
                 }
             }
+        }
+        if self.recorder.is_enabled() {
+            self.recorder
+                .counter_add(aida_obs::registry::CACHE_BYTES_HASHED, bytes_hashed);
         }
         (CacheKey::from_parts(&parts), plan_keyed)
     }
@@ -1122,7 +1138,7 @@ mod tests {
             let mut latency = 0.0;
             for i in 0..200 {
                 let name = format!("d{i}");
-                let d = Document::new(name, doc.content.clone());
+                let d = Document::new(name, doc.content());
                 let resp = llm.invoke(
                     ModelId::Mini,
                     &LlmTask::Filter {

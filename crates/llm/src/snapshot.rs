@@ -62,14 +62,7 @@ impl From<std::io::Error> for SnapshotError {
 }
 
 /// FNV-1a 64 over raw bytes (the snapshot and WAL-record checksum).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub use aida_data::hash::fnv1a64 as fnv64;
 
 // ---- string / value codec ----------------------------------------------
 //

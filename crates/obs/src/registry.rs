@@ -21,6 +21,9 @@ pub const CACHE_HIT: &str = "cache.hit";
 pub const CACHE_COALESCED: &str = "cache.coalesced";
 /// Semantic-cache misses (paid upstream calls).
 pub const CACHE_MISS: &str = "cache.miss";
+/// Subject-text bytes hashed while building cache keys (0 for subjects
+/// that carry a memoized text hash).
+pub const CACHE_BYTES_HASHED: &str = "cache.bytes_hashed";
 
 // --- counters: aida-core --------------------------------------------------
 
@@ -160,6 +163,7 @@ mod tests {
             CACHE_HIT,
             CACHE_COALESCED,
             CACHE_MISS,
+            CACHE_BYTES_HASHED,
             CHECKPOINT_SAVES,
             CHECKPOINT_ERRORS,
             CHECKPOINT_BYTES,

@@ -120,7 +120,7 @@ impl<'a> Sampler<'a> {
                         let doc = &lake.docs()[(i * stride).min(n - 1)];
                         Record::new(doc.name.clone())
                             .with("filename", doc.name.clone())
-                            .with("contents", doc.text())
+                            .with("contents", doc.reader_text())
                     })
                     .collect()
             }
@@ -288,8 +288,9 @@ impl<'a> Sampler<'a> {
         let origin = lake.and_then(|l| l.get(&rec.source)).map(Arc::as_ref);
         let subject = Subject {
             name: Cow::Borrowed(rec.source.as_str()),
-            text: Cow::Owned(subject_text(rec)),
+            text: subject_text(rec),
             labels: origin.map(|d| &d.labels),
+            text_hash: None,
         };
         let resp = match op {
             LogicalOp::SemFilter { instruction } => self.env.llm.invoke(

@@ -5,11 +5,23 @@
 //! time is accounted on the shared virtual clock as the batch's critical
 //! path (`ceil(n / parallelism)` waves); dollars flow through the shared
 //! usage meter, snapshotted per operator.
+//!
+//! Scans are late-materialized. `Scan` emits rows that hold only
+//! `filename`; while a batch is in that deferred state, `SemFilter` reads
+//! each row's origin document in place: its memoized reader text
+//! ([`aida_data::Document::reader_text`]) and text hash. Before any other
+//! operator, and at plan end, every surviving row gets `contents` (the
+//! document's text) right after `filename`, so reports carry exactly the
+//! records an eager scan would have produced. With the semantic cache on,
+//! each record's text is hashed at most once per batch (a document's memo
+//! costs nothing), and that hash both keys the cache probe and
+//! deduplicates the batch; with the cache off no hash is computed.
 
 use crate::physical::{PhysicalPlan, PhysicalStep};
 use crate::plan::LogicalOp;
 use crate::stats::{OperatorStats, PlanStats};
-use aida_data::{DataLake, Record, Value};
+use aida_data::{DataLake, Document, Record, Value};
+use aida_llm::noise::hash_str;
 use aida_llm::oracle::Subject;
 use aida_llm::{Embedder, LlmTask, SimClock, SimLlm};
 use aida_obs::{Recorder, SpanKind};
@@ -106,11 +118,18 @@ impl<'a> Executor<'a> {
     /// Runs the plan to completion.
     pub fn execute(&self, plan: &PhysicalPlan) -> ExecutionReport {
         let mut records: Vec<Record> = Vec::new();
-        let mut lake: Option<Arc<DataLake>> = None;
+        let mut scanned = Scanned::default();
         let mut stats = PlanStats::default();
         let mut warnings: Vec<String> = Vec::new();
         let parallelism = self.env.effective_parallelism(plan.parallelism);
         for step in &plan.steps {
+            let reads_in_place = matches!(
+                step.op,
+                LogicalOp::Scan { .. } | LogicalOp::SemFilter { .. }
+            );
+            if scanned.deferred && !reads_in_place {
+                scanned.materialize(&mut records);
+            }
             let rows_in = records.len();
             let before = self.env.llm.meter().snapshot();
             let t0 = self.env.clock.now();
@@ -124,7 +143,7 @@ impl<'a> Executor<'a> {
             if step.op.is_semantic() {
                 span.attr("model", step.model.name());
             }
-            records = self.run_step(step, records, &mut lake, parallelism, &mut warnings);
+            records = self.run_step(step, records, &mut scanned, parallelism, &mut warnings);
             let delta = self.env.llm.meter().snapshot().delta_since(&before);
             span.rows(rows_in, records.len());
             span.finish(self.env.clock.now());
@@ -145,6 +164,9 @@ impl<'a> Executor<'a> {
             }
             stats.operators.push(op_stats);
         }
+        if scanned.deferred {
+            scanned.materialize(&mut records);
+        }
         ExecutionReport {
             records,
             stats,
@@ -156,7 +178,7 @@ impl<'a> Executor<'a> {
         &self,
         step: &PhysicalStep,
         records: Vec<Record>,
-        lake: &mut Option<Arc<DataLake>>,
+        scanned: &mut Scanned,
         parallelism: usize,
         warnings: &mut Vec<String>,
     ) -> Vec<Record> {
@@ -165,7 +187,8 @@ impl<'a> Executor<'a> {
                 lake: source,
                 label: _,
             } => {
-                *lake = Some(Arc::clone(source));
+                scanned.lake = Some(Arc::clone(source));
+                scanned.deferred = true;
                 // Reading files is ~free next to LLM calls; charge a small
                 // fixed I/O latency per wave.
                 self.env.clock.advance_parallel(
@@ -173,27 +196,25 @@ impl<'a> Executor<'a> {
                     source.len().max(1),
                     parallelism,
                 );
+                // Late materialization: a row holds only `filename`; a
+                // filter reads the document in place, and `contents` is
+                // attached only to rows that survive to another operator.
                 source
                     .docs()
                     .iter()
-                    .map(|doc| {
-                        Record::new(doc.name.clone())
-                            .with("filename", doc.name.clone())
-                            .with("contents", doc.text())
-                    })
+                    .map(|doc| Record::new(doc.name.clone()).with("filename", doc.name.clone()))
                     .collect()
             }
             LogicalOp::SemFilter { instruction } => {
-                let verdicts =
-                    self.parallel_llm(&records, lake.as_deref(), parallelism, |llm, subject| {
-                        llm.invoke(
-                            step.model,
-                            &LlmTask::Filter {
-                                instruction,
-                                subject,
-                            },
-                        )
-                    });
+                let verdicts = self.parallel_llm(&records, scanned, parallelism, |llm, subject| {
+                    llm.invoke(
+                        step.model,
+                        &LlmTask::Filter {
+                            instruction,
+                            subject,
+                        },
+                    )
+                });
                 records
                     .into_iter()
                     .zip(verdicts)
@@ -208,18 +229,17 @@ impl<'a> Executor<'a> {
                 let mut out = records;
                 // One LLM pass per extracted field (documented API shape).
                 for field in fields {
-                    let values =
-                        self.parallel_llm(&out, lake.as_deref(), parallelism, |llm, subject| {
-                            llm.invoke(
-                                step.model,
-                                &LlmTask::Extract {
-                                    instruction,
-                                    field: &field.name,
-                                    field_desc: &field.desc,
-                                    subject,
-                                },
-                            )
-                        });
+                    let values = self.parallel_llm(&out, scanned, parallelism, |llm, subject| {
+                        llm.invoke(
+                            step.model,
+                            &LlmTask::Extract {
+                                instruction,
+                                field: &field.name,
+                                field_desc: &field.desc,
+                                subject,
+                            },
+                        )
+                    });
                     for (rec, value) in out.iter_mut().zip(values) {
                         rec.set(field.name.clone(), value);
                     }
@@ -231,17 +251,16 @@ impl<'a> Executor<'a> {
                 output,
                 target_tokens,
             } => {
-                let values =
-                    self.parallel_llm(&records, lake.as_deref(), parallelism, |llm, subject| {
-                        llm.invoke(
-                            step.model,
-                            &LlmTask::Map {
-                                instruction,
-                                subject,
-                                target_tokens: *target_tokens,
-                            },
-                        )
-                    });
+                let values = self.parallel_llm(&records, scanned, parallelism, |llm, subject| {
+                    llm.invoke(
+                        step.model,
+                        &LlmTask::Map {
+                            instruction,
+                            subject,
+                            target_tokens: *target_tokens,
+                        },
+                    )
+                });
                 let mut out = records;
                 for (rec, value) in out.iter_mut().zip(values) {
                     rec.set(output.clone(), value);
@@ -377,12 +396,19 @@ impl<'a> Executor<'a> {
                         ));
                     }
                 }
+                let pair_hashes: Vec<Option<u64>> = pair_subjects
+                    .iter()
+                    .map(|(_, _, text)| self.key_hash(|| hash_str(text)))
+                    .collect();
                 let verdicts = self.coalesced_parallel(
                     pair_subjects.len(),
-                    |i| pair_subjects[i].2.as_str(),
+                    |i| pair_hashes[i],
                     parallelism,
                     |i| {
-                        let subject = Subject::text_only("join-pair", &pair_subjects[i].2);
+                        let subject = Subject {
+                            text_hash: pair_hashes[i],
+                            ..Subject::text_only("join-pair", &pair_subjects[i].2)
+                        };
                         self.env.llm.invoke(
                             step.model,
                             &LlmTask::Filter {
@@ -420,10 +446,12 @@ impl<'a> Executor<'a> {
 
     /// Runs one LLM call per record across workers, advancing the clock by
     /// the batch critical path; returns per-record values in input order.
+    /// Deferred scan rows have no `contents`: the model reads their origin
+    /// document's memoized reader text in place.
     fn parallel_llm<F>(
         &self,
         records: &[Record],
-        lake: Option<&DataLake>,
+        scanned: &Scanned,
         parallelism: usize,
         call: F,
     ) -> Vec<Value>
@@ -431,19 +459,33 @@ impl<'a> Executor<'a> {
         F: Fn(&SimLlm, Subject<'_>) -> aida_llm::LlmResponse + Sync,
     {
         let llm = &self.env.llm;
-        let texts: Vec<String> = records.iter().map(subject_text).collect();
-        let subject_of = |i: usize| {
-            let rec = &records[i];
-            let origin = lake.and_then(|l| l.get(&rec.source)).map(Arc::as_ref);
-            Subject {
-                name: Cow::Borrowed(rec.source.as_str()),
-                text: Cow::Borrowed(texts[i].as_str()),
-                labels: origin.map(|d| &d.labels),
-            }
+        let origins: Vec<Option<&Document>> = records.iter().map(|r| scanned.origin(r)).collect();
+        let reads: Vec<(Cow<'_, str>, Option<u64>)> = records
+            .iter()
+            .zip(&origins)
+            .map(|(rec, origin)| match origin {
+                Some(doc) if scanned.deferred => (
+                    Cow::Borrowed(doc.reader_text()),
+                    self.key_hash(|| doc.text_hash()),
+                ),
+                _ => {
+                    let text = subject_text(rec);
+                    let hash = self.key_hash(|| hash_str(&text));
+                    (text, hash)
+                }
+            })
+            .collect();
+        let subject_of = |i: usize| Subject {
+            name: Cow::Borrowed(records[i].source.as_str()),
+            text: Cow::Borrowed(&reads[i].0),
+            labels: origins[i].map(|d| &d.labels),
+            text_hash: reads[i].1,
         };
+        // The cache key's identity for a batch: instruction and labels
+        // are fixed per source, so (source, text hash) decides the key.
         let responses = self.coalesced_parallel(
             records.len(),
-            |i| (records[i].source.as_str(), texts[i].as_str()),
+            |i| (records[i].source.as_str(), reads[i].1),
             parallelism,
             |i| call(llm, subject_of(i)),
         );
@@ -452,6 +494,12 @@ impl<'a> Executor<'a> {
             .clock
             .advance_parallel(total_latency, responses.len(), parallelism);
         responses.into_iter().map(|r| r.value).collect()
+    }
+
+    /// A subject's text hash for cache keys and batch dedup, computed only
+    /// when the semantic cache is on (nothing else reads it).
+    fn key_hash(&self, hash: impl FnOnce() -> u64) -> Option<u64> {
+        self.env.llm.cache().map(|_| hash())
     }
 
     /// Fans `call` over `0..n` on worker threads. With the semantic
@@ -524,10 +572,38 @@ fn dedup_indices<K: Eq + std::hash::Hash>(
 
 /// The text a model "reads" for a record: the raw document contents when
 /// the record still carries them, otherwise the rendered fields.
-pub fn subject_text(rec: &Record) -> String {
+pub fn subject_text(rec: &Record) -> Cow<'_, str> {
     match rec.get("contents") {
-        Some(Value::Str(contents)) => contents.clone(),
-        _ => rec.render(),
+        Some(Value::Str(contents)) => Cow::Borrowed(contents),
+        _ => Cow::Owned(rec.render()),
+    }
+}
+
+/// The lake a plan last scanned, and whether its rows still defer to it.
+#[derive(Default)]
+struct Scanned {
+    /// The scanned lake: each row's origin document (labels, and the text
+    /// of deferred rows).
+    lake: Option<Arc<DataLake>>,
+    /// True while the rows are scan rows that lack `contents`.
+    deferred: bool,
+}
+
+impl Scanned {
+    /// The document a record was scanned from.
+    fn origin(&self, rec: &Record) -> Option<&Document> {
+        self.lake.as_deref()?.get(&rec.source).map(Arc::as_ref)
+    }
+
+    /// Gives each deferred row its `contents` (the origin document's
+    /// text) right after `filename`: the row an eager scan would build.
+    fn materialize(&mut self, records: &mut [Record]) {
+        for rec in records.iter_mut() {
+            if let Some(doc) = self.origin(rec) {
+                rec.set("contents", doc.text());
+            }
+        }
+        self.deferred = false;
     }
 }
 

@@ -8,7 +8,8 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub enum LogicalOp {
     /// Scan a data lake, producing one record per document with `filename`
-    /// and `contents` fields.
+    /// and `contents` fields (`contents` is attached late; see
+    /// [`crate::exec`]).
     Scan {
         /// The lake to scan.
         lake: Arc<DataLake>,

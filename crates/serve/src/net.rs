@@ -31,7 +31,7 @@
 //! and no randomness: byte-identical replay is the fabric's seed's job.
 
 use crate::request::Priority;
-use aida_llm::noise::splitmix64;
+use aida_data::hash::{fnv1a64, fnv1a64_from, splitmix64};
 use aida_testkit::NetSim;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -274,12 +274,9 @@ impl Frame {
 /// already transmitted: two independently-offset FNV-1a streams, each
 /// finalized through splitmix64, concatenated to 128 bits.
 pub fn plan_hash(source: &str) -> u128 {
-    let mut lo: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut hi: u64 = 0x8422_2325_cbf2_9ce4;
-    for byte in source.as_bytes() {
-        lo = (lo ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01B3);
-        hi = (hi ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let bytes = source.as_bytes();
+    let lo = fnv1a64(bytes);
+    let hi = fnv1a64_from(0x8422_2325_cbf2_9ce4, bytes);
     (u128::from(splitmix64(hi)) << 64) | u128::from(splitmix64(lo))
 }
 

@@ -274,7 +274,7 @@ mod tests {
         let w = generate(11);
         for doc in w.lake.docs() {
             let relevant = doc.label("gt_relevant").is_some_and(|v| v.truthy());
-            let named = TRANSACTIONS.iter().any(|t| doc.content.contains(t));
+            let named = TRANSACTIONS.iter().any(|t| doc.content().contains(t));
             if relevant && !named {
                 // Oblique: must still be labeled as mentioning a txn.
                 assert!(doc.label("gt_mentions_txn").unwrap().truthy());
@@ -290,7 +290,7 @@ mod tests {
             .iter()
             .filter(|d| {
                 d.label("gt_relevant").is_some_and(|v| v.truthy())
-                    && !TRANSACTIONS.iter().any(|t| d.content.contains(t))
+                    && !TRANSACTIONS.iter().any(|t| d.content().contains(t))
             })
             .count();
         assert_eq!(oblique, N_OBLIQUE_RELEVANT);
@@ -310,7 +310,7 @@ mod tests {
             .collect();
         assert_eq!(traps.len(), N_SECONDHAND);
         for trap in traps {
-            assert!(TRANSACTIONS.iter().any(|t| trap.content.contains(t)));
+            assert!(TRANSACTIONS.iter().any(|t| trap.content().contains(t)));
             assert!(trap.label("difficulty").unwrap().as_float().unwrap() > 0.5);
         }
     }
@@ -344,7 +344,7 @@ mod tests {
         let b = generate(4);
         assert_eq!(a.truth, b.truth);
         for (da, db) in a.lake.docs().iter().zip(b.lake.docs()) {
-            assert_eq!(da.content, db.content);
+            assert_eq!(da.content(), db.content());
         }
     }
 

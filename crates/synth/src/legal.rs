@@ -353,7 +353,7 @@ mod tests {
         assert_eq!(a.truth, b.truth);
         let nat_a = a.lake.get(NATIONAL_FILE).unwrap();
         let nat_b = b.lake.get(NATIONAL_FILE).unwrap();
-        assert_eq!(nat_a.content, nat_b.content);
+        assert_eq!(nat_a.content(), nat_b.content());
     }
 
     #[test]
@@ -401,10 +401,10 @@ mod tests {
     fn annual_reports_have_per100k_not_totals() {
         let w = generate(3);
         let page = w.lake.get("sentinel_annual_report_2024.html").unwrap();
-        assert!(page.content.contains("per 100,000"));
+        assert!(page.content().contains("per 100,000"));
         // The true total must not appear verbatim in the trap pages.
-        assert!(!page.content.contains("1135291"));
-        assert!(!page.content.contains("1,135,291"));
+        assert!(!page.content().contains("1135291"));
+        assert!(!page.content().contains("1,135,291"));
     }
 
     #[test]
@@ -454,6 +454,6 @@ mod tests {
         let w = generate(2);
         let doc = w.lake.get("sentinel_state_texas_2024.csv").unwrap();
         assert!(doc.size() > 400, "state file too small: {}", doc.size());
-        assert!(doc.content.contains("identity theft"));
+        assert!(doc.content().contains("identity theft"));
     }
 }

@@ -7,7 +7,7 @@
 //! if their keys repeat, so these values must never move. A refactor of
 //! any hash that changes one bit fails here.
 
-use aida::data::Document;
+use aida::data::{hash, Document};
 use aida::llm::noise::{hash_str, splitmix64};
 use aida::llm::oracle::Subject;
 use aida::llm::snapshot::fnv64;
@@ -112,9 +112,12 @@ const KEY_PINS: [(u64, u64); 9] = [
 #[test]
 fn string_hashes_are_pinned() {
     assert_eq!(splitmix64(7), 0x63cb_e1e4_5932_0dd7);
+    assert_eq!(hash::splitmix64(7), 0x63cb_e1e4_5932_0dd7);
     for (text, h, fnv, plan) in PINS {
         assert_eq!(hash_str(text), h, "hash_str({text:?})");
+        assert_eq!(hash::hash_str(text), h, "data::hash::hash_str({text:?})");
         assert_eq!(fnv64(text.as_bytes()), fnv, "fnv64({text:?})");
+        assert_eq!(hash::fnv1a64(text.as_bytes()), fnv, "fnv1a64({text:?})");
         assert_eq!(plan_hash(text), plan, "plan_hash({text:?})");
     }
 }
@@ -122,4 +125,13 @@ fn string_hashes_are_pinned() {
 #[test]
 fn content_keys_are_pinned() {
     assert_eq!(keys(), KEY_PINS);
+}
+
+#[test]
+fn memoized_document_hashes_match_the_pins() {
+    // A document's memoized text hash is `hash_str` of its reader text.
+    for (text, h, _, _) in PINS {
+        let doc = Document::new("pin.txt", text);
+        assert_eq!(doc.text_hash(), h, "{text:?}");
+    }
 }
