@@ -156,7 +156,9 @@ impl CacheStats {
 
 #[derive(Debug, Clone)]
 struct Entry {
-    resp: LlmResponse,
+    /// Boxed so a table slot stays small: the table grows by doubling,
+    /// and every growth allocates all slots anew.
+    resp: Box<LlmResponse>,
     bytes: usize,
     tick: u64,
 }
@@ -257,7 +259,7 @@ impl SemanticCache {
                 let tick = st.tick;
                 let entry = st.entries.get_mut(&key).expect("entry present");
                 entry.tick = tick;
-                let resp = entry.resp.clone();
+                let resp = LlmResponse::clone(&entry.resp);
                 return if waited {
                     st.coalesced += 1;
                     Lookup::Coalesced(resp)
@@ -292,7 +294,14 @@ impl SemanticCache {
         st.tick += 1;
         let tick = st.tick;
         st.bytes += bytes;
-        st.entries.insert(key, Entry { resp, bytes, tick });
+        st.entries.insert(
+            key,
+            Entry {
+                resp: Box::new(resp),
+                bytes,
+                tick,
+            },
+        );
         Self::evict_over_budget(&mut st, &self.inner.config);
         drop(st);
         self.inner.cond.notify_all();
@@ -410,7 +419,12 @@ impl SemanticCache {
             let bytes = approx_bytes(&resp);
             st.tick += 1;
             let tick = st.tick;
-            if let Some(old) = st.entries.insert(key, Entry { resp, bytes, tick }) {
+            let entry = Entry {
+                resp: Box::new(resp),
+                bytes,
+                tick,
+            };
+            if let Some(old) = st.entries.insert(key, entry) {
                 st.bytes -= old.bytes;
             }
             st.bytes += bytes;
