@@ -7,7 +7,7 @@
 //! and must never change.
 
 /// The standard FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 

@@ -285,7 +285,7 @@ impl SimLlm {
                 }
             }
         }
-        if self.recorder.is_enabled() {
+        if bytes_hashed > 0 && self.recorder.is_enabled() {
             self.recorder
                 .counter_add(aida_obs::registry::CACHE_BYTES_HASHED, bytes_hashed);
         }

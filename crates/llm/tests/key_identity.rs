@@ -146,7 +146,13 @@ fn bytes_hashed_counts_only_text_without_a_memo() {
         subject,
     };
     let memo = llm.invoke(ModelId::Mini, &filter(Subject::doc(&doc)));
-    let hashed = |r: &Recorder| r.trace().counters[registry::CACHE_BYTES_HASHED];
+    let hashed = |r: &Recorder| {
+        let counters = r.trace().counters;
+        counters
+            .get(registry::CACHE_BYTES_HASHED)
+            .copied()
+            .unwrap_or(0)
+    };
     assert_eq!(hashed(&recorder), 0);
     let plain = llm.invoke(ModelId::Mini, &filter(unmemoized(&doc)));
     assert_eq!(hashed(&recorder), doc.text().len() as u64);
